@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on usage errors, 2 when a numerical invariant
-check fails.
+Exit codes: 0 on success, 1 on usage errors (including malformed or
+non-finite input files), 2 when a numerical invariant check fails.
 """
 
 from __future__ import annotations
@@ -43,10 +43,21 @@ def _echo_or_write(payload: dict, out: str | None, fmt: str) -> None:
         click.echo(text)
 
 
+def _load_matrix(path: str) -> np.ndarray:
+    """Read a CSV matrix; malformed or non-finite input is a usage error."""
+    try:
+        return harness.load_matrix_csv(path)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
+
+
 def _load_problem(x_path: str, y_path: str, sigma: float) -> RegressionProblem:
-    x = harness.load_matrix_csv(x_path)
-    y = harness.load_matrix_csv(y_path).ravel()
-    return RegressionProblem(x, y, sigma)
+    x = _load_matrix(x_path)
+    y = _load_matrix(y_path).ravel()
+    try:
+        return RegressionProblem(x, y, sigma)
+    except ValueError as exc:   # the shapes disagree
+        raise click.ClickException(str(exc))
 
 
 common = [
@@ -135,7 +146,7 @@ _fit_command("enet", 1.0)
 @with_common
 def svt_df(x_path, lam, seed, out, fmt):
     """Singular value thresholding and its exact divergence."""
-    y = harness.load_matrix_csv(x_path)
+    y = _load_matrix(x_path)
     res = solvers.svt(y, lam)
     payload = harness.results_payload("svt_df", seed, {"lam": lam}, {
         "df_exact": res.df_exact, "degenerate": res.degenerate,
@@ -143,8 +154,8 @@ def svt_df(x_path, lam, seed, out, fmt):
     })
     _echo_or_write(payload, out, fmt)
     if res.degenerate:
-        click.echo("warning: near-equal singular values; cross terms skipped",
-                   err=True)
+        click.echo("warning: near-equal singular values; their cross terms "
+                   "use the tied-pair limit", err=True)
 
 
 @main.command("mc-div")
@@ -164,18 +175,18 @@ def mc_div(map_kind, x_path, y_path, lam, gamma, m, step, two_sided,
     if map_kind == "svt":
         if x_path is None:
             raise click.UsageError("--map svt requires --X (the matrix)")
-        y = harness.load_matrix_csv(x_path)
+        y = _load_matrix(x_path)
         f = divergence_mc.svt_map(lam)
     elif map_kind == "soft":
         if y_path is None:
             raise click.UsageError("--map soft requires --y")
-        y = harness.load_matrix_csv(y_path).ravel()
+        y = _load_matrix(y_path).ravel()
         f = lambda v: solvers.soft_threshold(v, lam)
     else:
         if x_path is None or y_path is None:
             raise click.UsageError("--map %s requires --X and --y" % map_kind)
-        x = harness.load_matrix_csv(x_path)
-        y = harness.load_matrix_csv(y_path).ravel()
+        x = _load_matrix(x_path)
+        y = _load_matrix(y_path).ravel()
         f = divergence_mc.lasso_fitted_map(x, lam, gamma)
     est = divergence_mc.mc_divergence(f, y, m, RngStream(seed), a=step,
                                       two_sided=two_sided)

@@ -84,6 +84,8 @@ class RegressionProblem:
                 "design has %d rows but response has %d entries"
                 % (self.x.shape[0], self.y.shape[0])
             )
+        if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
+            raise ValueError("design and response must be finite")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
 
@@ -110,6 +112,10 @@ class SequenceModel:
             self.mu = np.asarray(self.mu, dtype=float).ravel()
             if self.mu.shape != self.y.shape:
                 raise ValueError("mu and y must have equal length")
+            if not np.isfinite(self.mu).all():
+                raise ValueError("mu must be finite")
+        if not np.isfinite(self.y).all():
+            raise ValueError("y must be finite")
         if self.sigma < 0:
             raise ValueError("sigma must be nonnegative")
 

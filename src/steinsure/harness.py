@@ -13,7 +13,6 @@ import concurrent.futures
 import json
 import math
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,14 +29,17 @@ SCHEMA = "stein-sure/1"
 
 
 def load_matrix_csv(path: str) -> np.ndarray:
-    """Read a numeric CSV matrix, reporting offending lines on failure."""
+    """Read a numeric CSV matrix; a ragged row, a non-numeric field or a
+    NaN or infinite value raises ValueError naming ``path:line``."""
     rows = []
+    linenos = []
     width = None
     with open(path, "r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
+            linenos.append(lineno)
             parts = line.split(",")
             if width is None:
                 width = len(parts)
@@ -52,7 +54,11 @@ def load_matrix_csv(path: str) -> np.ndarray:
                                  % (path, lineno, exc)) from None
     if not rows:
         raise ValueError("%s: empty matrix" % path)
-    return np.asarray(rows, dtype=float)
+    matrix = np.asarray(rows, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise ValueError("%s:%d: non-finite value" % (path, linenos[bad[0]]))
+    return matrix
 
 
 def save_matrix_csv(matrix: np.ndarray, path: str) -> None:
@@ -139,7 +145,6 @@ def default_lam(n: int, p: int, sigma: float, scale: float = 1.0) -> float:
 def experiment_sos(reps: int = 100000, seed: int = 1, sigma: float = 1.0,
                    n_list=(5, 20)) -> dict:
     """Identity check over the six-field corpus; z-scores per field and n."""
-    start = time.time()
     out = {}
     max_z = 0.0
     base = RngStream(seed)
@@ -151,43 +156,43 @@ def experiment_sos(reps: int = 100000, seed: int = 1, sigma: float = 1.0,
             out["%s_n%d" % (name, n)] = {
                 "lhs": rep.lhs_mean, "rhs": rep.rhs_mean, "z": rep.z_score}
             max_z = max(max_z, rep.z_score)
-    return {"fields": out, "max_z": max_z, "reps": reps,
-            "runtime_s": time.time() - start}
+    return {"fields": out, "max_z": max_z, "reps": reps}
 
 
-def _lasso_replication_stats(x, mu, lam, sigma, reps, stream):
-    """Batch-fit replications; per-rep rss, loss, support size."""
-    n = x.shape[0]
-    eps = stream.generator().standard_normal((reps, n))
-    ys = mu[None, :] + sigma * eps
+def _responses(mu, sigma, reps, stream):
+    """``reps`` draws of y = mu + sigma * eps, one per row."""
+    return mu[None, :] + sigma * stream.generator().standard_normal(
+        (reps, mu.size))
+
+
+def _lasso_replications(x, mu, lam, sigma, ys):
+    """Batch l1 fits of the rows of ``ys``: (SureReport, loss, betas).
+
+    The report's ``df_hat`` (and ``trace_grad_sq``) is the support size.
+    """
     betas = solvers.fit_lasso_batch(x, ys, lam)
     fits = betas @ x.T
-    resid = ys - fits
-    rss = np.einsum("ij,ij->i", resid, resid)
+    sizes = np.sum(betas != 0.0, axis=1).astype(float)
     dev = fits - mu[None, :]
     loss = np.einsum("ij,ij->i", dev, dev)
-    sizes = np.sum(betas != 0.0, axis=1).astype(float)
-    return ys, betas, rss, loss, sizes
+    return stein.sure_for_sure(ys, fits, sizes, sizes, sigma), loss, betas
 
 
 def experiment_unbiasedness(n: int = 100, p: int = 200, s0: int = 5,
                             sigma: float = 1.0, reps: int = 5000,
                             seed: int = 1, lam: float | None = None) -> dict:
     """Risk-identity moments for an l1 fit: unbiasedness and concentration."""
-    start = time.time()
     base = RngStream(seed)
     x = _design("gauss", n, p, base.child(0))
     if lam is None:
         lam = default_lam(n, p, sigma, 1.5)
     beta = _sparse_beta(p, s0, 0.5)
     mu = x @ beta
-    _, _, rss, loss, sizes = _lasso_replication_stats(
-        x, mu, lam, sigma, reps, base.child(1))
-    s2, s4 = sigma**2, sigma**4
-    sure = rss + 2.0 * s2 * sizes - s2 * n
-    r_hat = 4.0 * s2 * rss + 4.0 * s4 * sizes - 2.0 * s4 * n
-    r_prime = 2.0 * s2 * (rss + sure)
-    r_dp = 0.75 * r_prime + 0.25 * r_hat - s4 * sizes
+    rep, loss, _ = _lasso_replications(
+        x, mu, lam, sigma, _responses(mu, sigma, reps, base.child(1)))
+    sure, r_hat, r_prime, r_dp = (rep.sure, rep.r_hat, rep.r_prime,
+                                  rep.r_double_prime)
+    s4 = sigma**4
 
     def zscore(diff):
         return abs(float(np.mean(diff))) / (
@@ -216,7 +221,6 @@ def experiment_unbiasedness(n: int = 100, p: int = 200, s0: int = 5,
         "rel_quartic_bound": 16.0 / n,
         "var_r_prime": var_rp, "var_r_prime_se": se_var_rp,
         "var_r_prime_bound": rp_bound, "var_r_prime_bound_se": rp_bound_se,
-        "runtime_s": time.time() - start,
     }
 
 
@@ -224,15 +228,14 @@ def experiment_coverage(n: int = 500, p: int = 100, s0: int = 3,
                         sigma: float = 1.0, reps: int = 2000, seed: int = 1,
                         alpha: float = 0.05) -> dict:
     """Coverage of the loss confidence regions in the asymptotic regime."""
-    start = time.time()
     base = RngStream(seed)
     x = _design("gauss", n, p, base.child(0))
     lam = default_lam(n, p, sigma, 1.2)
     beta = _sparse_beta(p, s0, 0.5)
     mu = x @ beta
-    _, _, rss, loss, sizes = _lasso_replication_stats(
-        x, mu, lam, sigma, reps, base.child(1))
-    sure = rss + 2.0 * sigma**2 * sizes - sigma**2 * n
+    rep, loss, _ = _lasso_replications(
+        x, mu, lam, sigma, _responses(mu, sigma, reps, base.child(1)))
+    sure = rep.sure
     v_two = stein.symmetric_deviation_quantile(n, alpha)
     v_up = stein.lower_deviation_quantile(n, alpha)
     half_two = sigma**2 * v_two * math.sqrt(2.0 * n)
@@ -244,8 +247,7 @@ def experiment_coverage(n: int = 500, p: int = 100, s0: int = 3,
         "n": n, "p": p, "s0": s0, "alpha": alpha, "reps": reps,
         "v_two_sided": v_two, "v_one_sided": v_up,
         "coverage_two_sided": cover_two, "coverage_one_sided": cover_up,
-        "gamma_n": float(np.mean(sure / (n * sigma**2) + sizes / n)),
-        "runtime_s": time.time() - start,
+        "gamma_n": float(np.mean(sure / (n * sigma**2) + rep.df_hat / n)),
     }
 
 
@@ -263,7 +265,6 @@ def experiment_model_size(reps: int = 1000, seed: int = 1,
                           sigma: float = 1.0) -> dict:
     """Support-size variance against its bound over a configuration grid,
     plus the orthonormal-design case where the variance is exact."""
-    start = time.time()
     base = RngStream(seed)
     rows = []
     for ci, cfg in enumerate(MODEL_SIZE_GRID):
@@ -272,8 +273,8 @@ def experiment_model_size(reps: int = 1000, seed: int = 1,
         lam = default_lam(n, p, sigma, cfg["lam_scale"])
         beta = _sparse_beta(p, s0, 0.6)
         mu = x @ beta
-        _, _, _, _, sizes = _lasso_replication_stats(
-            x, mu, lam, sigma, reps, base.child(10 * ci + 1))
+        sizes = _lasso_replications(x, mu, lam, sigma, _responses(
+            mu, sigma, reps, base.child(10 * ci + 1)))[0].df_hat
         mean_size = float(np.mean(sizes))
         var_size = float(np.var(sizes, ddof=1))
         centered = sizes - mean_size
@@ -292,8 +293,8 @@ def experiment_model_size(reps: int = 1000, seed: int = 1,
     lam = default_lam(n, p, sigma, 1.0)
     beta = _sparse_beta(p, s0, 2.0 * lam)
     mu = x @ beta
-    _, _, _, _, sizes = _lasso_replication_stats(
-        x, mu, lam, sigma, reps, base.child(901))
+    sizes = _lasso_replications(x, mu, lam, sigma, _responses(
+        mu, sigma, reps, base.child(901)))[0].df_hat
     from scipy.stats import norm
     thr = math.sqrt(n) * lam
     q = (norm.sf((thr - mu) / sigma) + norm.sf((thr + mu) / sigma))
@@ -306,14 +307,13 @@ def experiment_model_size(reps: int = 1000, seed: int = 1,
     return {"grid": rows, "all_ok": all(r["ok"] for r in rows),
             "ortho": {"var_exact": var_exact, "var_emp": var_emp,
                       "z": z_ortho},
-            "reps": reps, "runtime_s": time.time() - start}
+            "reps": reps}
 
 
 def experiment_sparse_re(reps: int = 400, seed: int = 1, sigma: float = 1.0,
                          n: int = 500, p: int = 500,
                          s0_list=(1, 5, 10)) -> dict:
     """Sparsity-plus-prediction bound at orthonormal design (RE = 1)."""
-    start = time.time()
     base = RngStream(seed)
     tau = gam = 1.0
     x = _design("ortho", n, p, base.child(0))
@@ -324,9 +324,9 @@ def experiment_sparse_re(reps: int = 400, seed: int = 1, sigma: float = 1.0,
             2.0 * math.log(math.e * p / s1) / n)
         beta = _sparse_beta(p, s0, 3.0 * lam)
         mu = x @ beta
-        _, betas, _, loss, sizes = _lasso_replication_stats(
-            x, mu, lam, sigma, reps, base.child(si + 1))
-        stat = sizes + loss / (2.0 * sigma**2 * tau)
+        rep, loss, _ = _lasso_replications(x, mu, lam, sigma, _responses(
+            mu, sigma, reps, base.child(si + 1)))
+        stat = rep.df_hat + loss / (2.0 * sigma**2 * tau)
         bound = (math.sqrt(tau) + 1.0 / math.sqrt(tau)) ** 2 * (
             (1 + gam) ** 2 * (s0 * math.log(math.e * p / s1) + s1) + 0.25)
         mean_stat = float(np.mean(stat))
@@ -335,13 +335,12 @@ def experiment_sparse_re(reps: int = 400, seed: int = 1, sigma: float = 1.0,
                      "se_stat": se_stat, "bound": bound,
                      "ok": mean_stat <= bound + 4.0 * se_stat})
     return {"rows": rows, "all_ok": all(r["ok"] for r in rows),
-            "reps": reps, "runtime_s": time.time() - start}
+            "reps": reps}
 
 
 def experiment_mc_divergence(kind: str, seed: int = 1, m_grid=None,
                              n_real: int = 50) -> dict:
     """Probe-count table for the divergence estimator on a fixed dataset."""
-    start = time.time()
     base = RngStream(seed)
     if kind == "svt":
         q, n, rank, lam, a = 101, 100, 10, 10.0, 1e-4
@@ -376,8 +375,7 @@ def experiment_mc_divergence(kind: str, seed: int = 1, m_grid=None,
         if 4 * m in by_m and by_m[4 * m]["std"] > 0:
             ratios["%d/%d" % (m, 4 * m)] = by_m[m]["std"] / by_m[4 * m]["std"]
     return {"kind": kind, "df_exact": float(df_exact), "rows": rows,
-            "std_ratios": ratios, "n_real": n_real,
-            "runtime_s": time.time() - start}
+            "std_ratios": ratios, "n_real": n_real}
 
 
 def _debias_rep(args):
@@ -399,7 +397,6 @@ def experiment_debias(n: int = 200, p: int = 300, s0: int = 5,
                       reps: int = 2000, seed: int = 1, sigma: float = 1.0,
                       lam: float | None = None, threads: int = 1) -> dict:
     """Pivot moments for the de-biased contrast in simulation mode."""
-    start = time.time()
     if lam is None:
         lam = default_lam(n, p, sigma, 1.0)
     args = [(seed, r, n, p, s0, lam, sigma, 1.0) for r in range(reps)]
@@ -415,7 +412,6 @@ def experiment_debias(n: int = 200, p: int = 300, s0: int = 5,
         "n": n, "p": p, "s0": s0, "lam": lam,
         "frozen_fraction": float(np.mean([r[3] for r in results])),
         "theta_hat_mean": float(np.mean([r[2] for r in results])),
-        "runtime_s": time.time() - start,
     })
     return check
 
@@ -424,53 +420,37 @@ def experiment_selection(n: int = 100, p: int = 150, s0: int = 5,
                          reps: int = 2000, seed: int = 1, sigma: float = 1.0,
                          alpha: float = 0.1, n_cand: int = 8) -> dict:
     """Exceedance of the high-probability tuning bound on an l1 path."""
-    start = time.time()
     base = RngStream(seed)
     x = _design("gauss", n, p, base.child(0))
     lam0 = default_lam(n, p, sigma, 1.0)
     lams = lam0 * np.geomspace(0.4, 2.2, n_cand)
     beta = _sparse_beta(p, s0, 0.6)
     mu = x @ beta
-    eps = base.child(1).generator().standard_normal((reps, n))
-    ys = mu[None, :] + sigma * eps
+    ys = _responses(mu, sigma, reps, base.child(1))
 
     sures = np.empty((reps, n_cand))
     dists = np.empty((reps, n_cand))
+    sizes = np.empty((n_cand, reps))
     supports = []
     for k, lam in enumerate(lams):
-        betas = solvers.fit_lasso_batch(x, ys, float(lam))
-        fits = betas @ x.T
-        resid = ys - fits
-        rss = np.einsum("ij,ij->i", resid, resid)
-        sizes = np.sum(betas != 0.0, axis=1)
-        sures[:, k] = rss + 2.0 * sigma**2 * sizes - sigma**2 * n
-        dists[:, k] = np.linalg.norm(fits - mu[None, :], axis=1)
+        rep, _, betas = _lasso_replications(x, mu, float(lam), sigma, ys)
+        sures[:, k] = rep.sure
+        sizes[k] = rep.df_hat
+        dists[:, k] = np.linalg.norm(betas @ x.T - mu[None, :], axis=1)
         supports.append([np.flatnonzero(b) for b in betas])
 
     j0 = int(np.argmin(np.mean(dists**2, axis=0)))
     picks = np.argmin(sures, axis=1)
     gaps = dists[np.arange(reps), picks] - dists[:, j0]
 
-    # analytic squared-Jacobian traces of candidate-vs-reference differences
-    qs_cache: dict[tuple, np.ndarray] = {}
-
-    def qmat(sup):
-        key = tuple(sup)
-        if key not in qs_cache:
-            qs_cache[key] = (np.linalg.qr(x[:, sup])[0] if len(sup)
-                             else np.zeros((n, 0)))
-        return qs_cache[key]
-
-    s_star = 0.0
-    for k in range(n_cand):
-        if k == j0:
-            continue
-        tr = np.empty(reps)
-        for r in range(reps):
-            q1, q2 = qmat(supports[k][r]), qmat(supports[j0][r])
-            cross = float(np.sum((q1.T @ q2) ** 2))
-            tr[r] = q1.shape[1] + q2.shape[1] - 2.0 * cross
-        s_star = max(s_star, float(np.mean(tr)))
+    # squared-Jacobian traces of candidate-vs-reference differences,
+    # tr((P_k - P_j0)^2) = |S_k| + |S_j0| - 2 tr(P_k P_j0)
+    others = [k for k in range(n_cand) if k != j0]
+    cross = stein.projection_cross_traces(
+        x, [sup for k in others for sup in supports[k]],
+        supports[j0] * len(others)).reshape(len(others), reps)
+    tr = sizes[others] + sizes[j0] - 2.0 * cross
+    s_star = float(np.max(np.mean(tr, axis=1), initial=0.0))
 
     bound = selection.selection_gap_bound(n_cand, alpha, 1.0, s_star, sigma)
     exceed = float(np.mean(gaps > bound))
@@ -481,7 +461,6 @@ def experiment_selection(n: int = 100, p: int = 150, s0: int = 5,
         "exceedance": exceed, "limit": alpha + 4.0 * se,
         "ok": exceed <= alpha + 4.0 * se,
         "mean_gap": float(np.mean(gaps)),
-        "runtime_s": time.time() - start,
     }
 
 

@@ -8,11 +8,12 @@ shows the n^{1/4} term in those bounds is not an artifact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RngStream
+from . import stein
 
 
 @dataclass
@@ -20,9 +21,6 @@ class CandidateSet:
     """Risk estimates for m candidate estimators (one value per candidate)."""
 
     sure_values: np.ndarray
-    lipschitz: float = 1.0
-    s_star: float | None = None
-    fits: list = field(default_factory=list)
 
     def __post_init__(self):
         self.sure_values = np.asarray(self.sure_values, dtype=float).ravel()
@@ -151,19 +149,17 @@ def adversarial_gap_experiment(n: int, sigma: float, reps: int,
     to the mean is about sigma * n^{1/4}.  Returns the frequency of
     {tuning picks the wave, gap >= c sigma n^{1/4}} over the replications.
     """
-    _, wave = adversarial_pair(n, sigma, period_exponent)
+    zero, wave = adversarial_pair(n, sigma, period_exponent)
     gen = stream.generator()
-    s2 = sigma * sigma
     threshold = c * sigma * n ** 0.25
     hits = 0
     picked = 0
     for _ in range(reps):
         y = sigma * gen.standard_normal(n)
-        sure0 = float(y @ y) - s2 * n
         vals, slopes = wave.wave(y)
         mu2 = wave.shift + vals
-        r = y - mu2
-        sure2 = float(r @ r) + 2.0 * s2 * float(np.sum(slopes)) - s2 * n
+        sure0, sure2 = stein.sure(y, np.stack([zero.mu(y), mu2]),
+                                  np.array([0.0, np.sum(slopes)]), sigma)
         if sure2 < sure0:
             picked += 1
             if math.sqrt(float(mu2 @ mu2)) >= threshold:

@@ -300,8 +300,11 @@ def svt(y_matrix: np.ndarray, lam: float) -> SvtResult:
         sum_i [ 1{s_i > lam} + |q - n| (1 - lam/s_i)_+ ]
         + 2 sum_{i != j} s_i (s_i - lam)_+ / (s_i^2 - s_j^2).
 
-    Pairs whose singular values differ by less than 1e-12 * s_1 are skipped
-    in the cross term and flagged as degenerate.
+    Pairs whose singular values differ by less than 1e-12 * s_1 are flagged
+    as degenerate.  Each such pair's two cross terms are replaced by their
+    limit as the values meet, (2s - lam) / (2s) for s > lam and 0 otherwise
+    (Candes, Sing-Long & Trzasko 2013), which keeps the divergence exact at
+    tied singular values.
     """
     y_matrix = np.asarray(y_matrix, dtype=float)
     if y_matrix.ndim != 2:
@@ -320,9 +323,13 @@ def svt(y_matrix: np.ndarray, lam: float) -> SvtResult:
 
     s2 = s * s
     diff = s2[:, None] - s2[None, :]
-    close = np.abs(s[:, None] - s[None, :]) < 1e-12 * max(smax, 1.0e-300)
-    mask = ~np.eye(s.size, dtype=bool) & ~close
-    degenerate = bool(np.any(close & ~np.eye(s.size, dtype=bool)))
+    off = ~np.eye(s.size, dtype=bool)
+    close = off & (np.abs(s[:, None] - s[None, :]) < 1e-12 * max(smax, 1.0e-300))
+    mask = off & ~close
+    degenerate = bool(np.any(close))
     num = (s * shrunk)[:, None] * np.ones_like(diff)
-    cross = 2.0 * float(np.sum(np.where(mask, num / np.where(mask, diff, 1.0), 0.0)))
+    # half the paired limit (2s - lam) / (2s) per term of a tied pair
+    tied = np.where(s > lam, 0.5 - 0.25 * ratio, 0.0)[:, None]
+    cross = 2.0 * float(np.sum(np.where(mask, num / np.where(mask, diff, 1.0),
+                                        np.where(close, tied, 0.0))))
     return SvtResult(out, float(own + cross), degenerate)

@@ -38,6 +38,8 @@ from . import solvers
 
 @dataclass
 class SureReport:
+    """Output of :func:`sure_for_sure`; arrays for stacked replications."""
+
     sure: float
     sure_plus: float
     r_hat: float
@@ -49,27 +51,29 @@ class SureReport:
     n: int
 
 
-def sure(y: np.ndarray, mu_hat: np.ndarray, df_hat: float, sigma: float) -> float:
-    y = np.asarray(y, dtype=float)
-    mu_hat = np.asarray(mu_hat, dtype=float)
-    r = y - mu_hat
-    return float(r @ r) + 2.0 * sigma**2 * df_hat - sigma**2 * y.shape[0]
+def sure(y: np.ndarray, mu_hat: np.ndarray, df_hat, sigma: float):
+    """The unbiased risk estimate alone; see :func:`sure_for_sure`."""
+    return sure_for_sure(y, mu_hat, df_hat, 0.0, sigma).sure
 
 
-def sure_for_sure(y: np.ndarray, mu_hat: np.ndarray, df_hat: float,
-                  trace_grad_sq: float, sigma: float) -> SureReport:
-    """SURE together with the unbiased estimates of its own squared error."""
-    y = np.asarray(y, dtype=float)
-    mu_hat = np.asarray(mu_hat, dtype=float)
-    n = y.shape[0]
-    r = y - mu_hat
-    rss = float(r @ r)
+def sure_for_sure(y: np.ndarray, mu_hat: np.ndarray, df_hat, trace_grad_sq,
+                  sigma: float) -> SureReport:
+    """SURE together with the unbiased estimates of its own squared error.
+
+    ``y`` and ``mu_hat`` may stack replications as ``(..., n)`` arrays that
+    broadcast against each other; ``df_hat`` and ``trace_grad_sq`` then
+    broadcast over the leading axes, and every estimate is an array over
+    them.  Unstacked input gives scalars.
+    """
+    r = np.asarray(y, dtype=float) - np.asarray(mu_hat, dtype=float)
+    n = r.shape[-1]
+    rss = np.einsum("...i,...i->...", r, r)
     s2, s4 = sigma**2, sigma**4
     val = rss + 2.0 * s2 * df_hat - s2 * n
     r_hat = 4.0 * s2 * rss + 4.0 * s4 * trace_grad_sq - 2.0 * s4 * n
     r_prime = 2.0 * s2 * (rss + val)
     r_dp = 0.75 * r_prime + 0.25 * r_hat - s4 * df_hat
-    return SureReport(sure=val, sure_plus=max(val, 0.0), r_hat=r_hat,
+    return SureReport(sure=val, sure_plus=np.maximum(val, 0.0), r_hat=r_hat,
                       r_prime=r_prime, r_double_prime=r_dp, df_hat=df_hat,
                       trace_grad_sq=trace_grad_sq, sigma=sigma, n=n)
 
@@ -115,10 +119,7 @@ def _cross_trace(x, fit1, fit2):
     if s1.size == 0 or s2.size == 0:
         return 0.0
     if fit1.gamma == 0.0 and fit2.gamma == 0.0:
-        q1 = np.linalg.qr(x[:, s1])[0]
-        q2 = np.linalg.qr(x[:, s2])[0]
-        m = q1.T @ q2
-        return float(np.sum(m * m))
+        return float(projection_cross_traces(x, [s1], [s2])[0])
     def factor(sup, gamma):
         xs = x[:, sup]
         g = xs.T @ xs + gamma * np.eye(sup.size)
@@ -129,6 +130,28 @@ def _cross_trace(x, fit1, fit2):
     return float(np.trace(b1 @ c @ b2 @ c.T))
 
 
+def projection_cross_traces(x: np.ndarray, supports_a, supports_b) -> np.ndarray:
+    """tr(P_a P_b) for each pair of supports, P_S projecting onto span X_S.
+
+    This is the cross term tr(J_a J_b) of two plain l1 fits.  Each distinct
+    support is factored once (a thin QR), however often it recurs.
+    """
+    x = np.asarray(x, dtype=float)
+    bases: dict[tuple, np.ndarray] = {}
+
+    def basis(sup):
+        key = tuple(sup)
+        if key not in bases:
+            bases[key] = np.linalg.qr(x[:, list(key)])[0]
+        return bases[key]
+
+    out = np.empty(len(supports_a))
+    for i, (sa, sb) in enumerate(zip(supports_a, supports_b)):
+        m = basis(sa).T @ basis(sb)
+        out[i] = np.sum(m * m)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # identity verification
 
@@ -136,9 +159,9 @@ def _cross_trace(x, fit1, fit2):
 class VectorField:
     """A vector field f with enough Jacobian structure for the identity check.
 
-    Subclasses override ``value`` and either the analytic ``divergence`` /
-    ``trace_jac_sq`` or fall back to the finite-difference Jacobian here.
-    ``batch_stats`` may be overridden when draws can be vectorized.
+    Subclasses override ``value`` and, with the analytic divergence and
+    squared-Jacobian trace, ``batch_stats``; the base ``batch_stats`` uses
+    the finite-difference ``jacobian`` and serves as the reference for them.
     """
 
     def value(self, z: np.ndarray) -> np.ndarray:
@@ -154,13 +177,6 @@ class VectorField:
             zi[i] += a
             jac[:, i] = (self.value(zi) - f0) / a
         return jac
-
-    def divergence(self, z: np.ndarray) -> float:
-        return float(np.trace(self.jacobian(z)))
-
-    def trace_jac_sq(self, z: np.ndarray) -> float:
-        jac = self.jacobian(z)
-        return float(np.sum(jac * jac.T))
 
     def batch_stats(self, zs: np.ndarray):
         """Per-draw (z'f, ||f||^2, div f, tr(J^2)) over the rows of zs."""
@@ -486,8 +502,9 @@ def model_size_ci(observed: int, p: int, alpha: float) -> ConfidenceInterval:
     """Confidence interval for E|support| from one observed support size.
 
     Inverts the deviance inequality s/E + E/max(s,1) - 2 <= t with
-    t = (3 + 4 log(e p)) / (alpha * max(s, 1)) by bisection on each side of
-    the observed size; the interval is clipped to [0, p].
+    t = (3 + 4 log(e p)) / (alpha * max(s, 1)).  Multiplied out it reads
+    E^2 - (t + 2) s1 E + s s1 <= 0 with s1 = max(s, 1), so the endpoints are
+    the two roots (the lower one is 0 when s = 0), clipped to [0, p].
     """
     if observed < 0 or observed > p:
         raise ValueError("observed size must lie in [0, p]")
@@ -496,28 +513,9 @@ def model_size_ci(observed: int, p: int, alpha: float) -> ConfidenceInterval:
     s = float(observed)
     s1 = max(s, 1.0)
     t = (3.0 + 4.0 * math.log(math.e * p)) / (alpha * s1)
-
-    def deviance(e):
-        return (s / e if s > 0 else 0.0) + e / s1 - 2.0
-
-    if s == 0:
-        lower = 0.0
-    else:
-        lo, hi = s * 1e-16, s
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if deviance(mid) > t:
-                lo = mid
-            else:
-                hi = mid
-        lower = 0.5 * (lo + hi)
-    lo, hi = s1, (t + 2.0) * s1 + s + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if deviance(mid) > t:
-            hi = mid
-        else:
-            lo = mid
-    upper = 0.5 * (lo + hi)
+    b = (t + 2.0) * s1
+    upper = 0.5 * (b + math.sqrt(b * b - 4.0 * s * s1))
+    # the product of the roots is s s1; dividing avoids cancellation
+    lower = s * s1 / upper
     return ConfidenceInterval(max(lower, 0.0), min(upper, float(p)),
                               1.0 - alpha, "model_size")

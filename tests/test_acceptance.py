@@ -199,7 +199,6 @@ def test_acceptance_11_determinism_io(tmp_path):
     for _ in range(2):
         res = harness.experiment_unbiasedness(n=40, p=60, s0=3, reps=200,
                                               seed=91)
-        res.pop("runtime_s")
         path = tmp_path / ("d%d.json" % len(payloads))
         harness.save_results_json(
             harness.results_payload("unbiasedness", 91, {}, res), str(path))

@@ -59,6 +59,22 @@ def test_regression_problem_shape_check():
     assert (prob.n, prob.p) == (3, 2)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_rejected(bad):
+    y = np.ones(3)
+    y[1] = bad
+    x = np.ones((3, 2))
+    x[2, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        RegressionProblem(np.ones((3, 2)), y)
+    with pytest.raises(ValueError, match="finite"):
+        RegressionProblem(x, np.ones(3))
+    with pytest.raises(ValueError, match="finite"):
+        SequenceModel(y)
+    with pytest.raises(ValueError, match="finite"):
+        SequenceModel(np.ones(3), mu=y)
+
+
 def test_sequence_model():
     m = SequenceModel(np.arange(4.0), sigma=2.0, mu=np.zeros(4))
     assert m.n == 4

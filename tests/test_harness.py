@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -47,6 +48,14 @@ def test_matrix_csv_non_numeric_reports_line(tmp_path):
         load_matrix_csv(str(path))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_matrix_csv_non_finite_reports_line(tmp_path, value):
+    path = tmp_path / "bad3.csv"
+    path.write_text("1,2\n\n3,%s\n" % value)
+    with pytest.raises(ValueError, match=r"bad3\.csv:3: non-finite"):
+        load_matrix_csv(str(path))
+
+
 def test_matrix_csv_empty(tmp_path):
     path = tmp_path / "empty.csv"
     path.write_text("\n\n")
@@ -71,11 +80,9 @@ def test_results_payload_schema():
 
 def test_save_results_json_deterministic(tmp_path):
     res = harness.experiment_sos(reps=2000, seed=4, n_list=(5,))
-    res.pop("runtime_s")
     p1, p2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     save_results_json(results_payload("sos", 4, {}, res), p1)
     res2 = harness.experiment_sos(reps=2000, seed=4, n_list=(5,))
-    res2.pop("runtime_s")
     save_results_json(results_payload("sos", 4, {}, res2), p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
@@ -191,6 +198,34 @@ def test_cli_run_config(tmp_path):
     assert res.exit_code == 0
     payload = json.loads(open(out).read())
     assert payload["kind"] == "sos"
+
+
+def test_cli_non_finite_input_is_usage_error(tmp_path):
+    xp, _ = _write_problem(tmp_path)
+    yp = tmp_path / "y.csv"
+    yp.write_text("\n".join(["1.0"] * 12 + ["nan"] + ["0.5"] * 12) + "\n")
+    start = time.perf_counter()
+    res = runner.invoke(cli.main, ["lasso", "--X", xp, "--y", str(yp),
+                                   "--lam", "0.3"])
+    assert time.perf_counter() - start < 1.0
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)   # no traceback
+    assert res.output.strip().splitlines() == [
+        "Error: %s:13: non-finite value" % yp]
+
+
+def test_cli_run_output_is_byte_identical(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "unbiasedness", "seed": 5, "params": {
+        "n": 30, "p": 40, "s0": 2, "reps": 50}}))
+    outputs = []
+    for name in ("a.json", "b.json"):
+        out = tmp_path / name
+        res = runner.invoke(cli.main, ["run", "--config", str(cfg),
+                                       "--out", str(out)])
+        assert res.exit_code == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_debias(tmp_path):

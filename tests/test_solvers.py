@@ -194,6 +194,27 @@ def test_svt_divergence_matches_finite_differences():
     assert base.df_exact == pytest.approx(div, rel=1e-4, abs=1e-3)
 
 
+@pytest.mark.parametrize("spectrum", [(3.0, 2.0, 2.0, 1.0, 0.2),
+                                      (3.0, 1.0, 0.3, 0.3, 0.1)])
+def test_svt_divergence_exact_at_ties(spectrum):
+    # a tie above lam (first) and below it (second); the paired limit of the
+    # cross terms must agree with central finite differences
+    gen = np.random.default_rng(13)
+    u = np.linalg.qr(gen.standard_normal((6, 5)))[0]
+    v = np.linalg.qr(gen.standard_normal((5, 5)))[0]
+    y = (u * np.array(spectrum)) @ v.T
+    lam, a = 0.5, 1e-5
+    base = svt(y, lam)
+    assert base.degenerate
+    div = 0.0
+    for idx in np.ndindex(y.shape):
+        step = np.zeros_like(y)
+        step[idx] = a
+        div += (svt(y + step, lam).matrix[idx]
+                - svt(y - step, lam).matrix[idx]) / (2.0 * a)
+    assert base.df_exact == pytest.approx(div, abs=1e-6)
+
+
 def test_svt_degenerate_flag():
     res = svt(np.eye(3) * 2.0, 0.5)
     assert res.degenerate

@@ -89,6 +89,41 @@ def test_sure_diff_lasso_pair_projection_form():
     assert rep.r_hat_diff == pytest.approx(4 * d @ d + 4 * t, rel=1e-9)
 
 
+@settings(max_examples=40, deadline=None)
+@given(reps=st.integers(1, 6), n=st.integers(1, 12),
+       seed=st.integers(0, 2**32 - 1), sigma=st.floats(0.1, 3.0))
+def test_sure_for_sure_stacked_equals_rows(reps, n, seed, sigma):
+    gen = np.random.default_rng(seed)
+    ys = gen.standard_normal((reps, n))
+    mus = gen.standard_normal((reps, n))
+    dfs = gen.uniform(0, n, reps)
+    tr2s = gen.uniform(0, 1, reps) * dfs
+    stacked = sure_for_sure(ys, mus, dfs, tr2s, sigma)
+    assert stacked.n == n
+    for r in range(reps):
+        row = sure_for_sure(ys[r], mus[r], dfs[r], tr2s[r], sigma)
+        for name in ("sure", "sure_plus", "r_hat", "r_prime",
+                     "r_double_prime", "df_hat", "trace_grad_sq"):
+            assert getattr(stacked, name)[r] == pytest.approx(
+                getattr(row, name), rel=1e-12, abs=1e-12)
+        assert sure(ys[r], mus[r], dfs[r], sigma) == row.sure
+    np.testing.assert_array_equal(sure(ys, mus, dfs, sigma), stacked.sure)
+
+
+def test_projection_cross_traces_match_projections():
+    gen = np.random.default_rng(8)
+    x = gen.standard_normal((15, 9))
+    sups = [np.array([0, 3, 4]), np.array([3, 5]), np.array([], dtype=int),
+            np.array([1, 2, 6, 7, 8])]
+    pairs = [(a, b) for a in sups for b in sups]
+    got = stein.projection_cross_traces(x, [a for a, _ in pairs],
+                                        [b for _, b in pairs])
+    for (a, b), value in zip(pairs, got):
+        p1 = solvers.lasso_projection(x, a)
+        p2 = solvers.lasso_projection(x, b)
+        assert value == pytest.approx(np.trace(p1 @ p2), abs=1e-12)
+
+
 # ---------------------------------------------------------------- identity
 
 def test_identity_field_exact_mean():
