@@ -14,7 +14,7 @@ from .core import (RegressionProblem, RngStream, SequenceModel,
                    sample_gaussian_vector)
 from .solvers import (FitResult, KktReport, SvtResult, check_kkt,
                       fit_elastic_net, fit_lasso, fit_lasso_batch,
-                      lasso_projection, soft_threshold, svt)
+                      lasso_projection, soft_threshold, support_spectrum, svt)
 from .stein import (ConfidenceInterval, IdentityReport, SureReport,
                     data_driven_confidence, divergence_variance_bound,
                     loss_confidence_region, model_size_ci,

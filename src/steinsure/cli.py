@@ -24,18 +24,24 @@ click.UsageError.exit_code = 1
 INVARIANT_FAILURE = 2
 
 
+def _flatten(obj, prefix=""):
+    """(dotted key, leaf) pairs; dict keys sorted, list items by index."""
+    if not isinstance(obj, (dict, list)):
+        return [(prefix, obj)]
+    items = sorted(obj.items()) if isinstance(obj, dict) else enumerate(obj)
+    return [row for key, value in items for row in _flatten(
+        value, "%s.%s" % (prefix, key) if prefix else str(key))]
+
+
 def _echo_or_write(payload: dict, out: str | None, fmt: str) -> None:
     if fmt == "json":
-        text = json.dumps(harness._jsonable(payload), sort_keys=True, indent=1)
+        text = json.dumps(harness._jsonable(payload), sort_keys=True, indent=1,
+                          allow_nan=False)
     else:
-        rows = payload.get("results", payload)
-        if isinstance(rows, dict):
-            text = "\n".join("%s,%s" % (k, ("%.17g" % v)
-                             if isinstance(v, float) else v)
-                             for k, v in sorted(rows.items())
-                             if not isinstance(v, (dict, list)))
-        else:
-            text = str(rows)
+        # a null (non-finite) value is an empty field
+        text = "\n".join("%s,%s" % (k, "%.17g" % v if isinstance(v, float)
+                                     else "" if v is None else v)
+                         for k, v in _flatten(payload.get("results", payload)))
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
@@ -105,38 +111,67 @@ def sos_verify(n, reps, sigma, seed, out, fmt):
         sys.exit(INVARIANT_FAILURE)
 
 
-def _fit_command(name, forced_gamma):
-    @main.command(name)
+def _fit_and_report(name, params, x_path, y_path, lams, gamma, sigma,
+                    summarize, seed, out, fmt):
+    """Fit the l1 / ridged-l1 path at each ``lams`` entry and write
+    ``summarize(problem, fits)`` as the results; exit 2 after writing them
+    when any fit missed the duality-gap tolerance."""
+    problem = _load_problem(x_path, y_path, sigma)
+    fits = [solvers.fit_lasso(problem, lam, gamma=gamma) for lam in lams]
+    _echo_or_write(harness.results_payload(name, seed, params,
+                                           summarize(problem, fits)), out, fmt)
+    if not all(fit.converged for fit in fits):
+        click.echo("solver did not reach the duality-gap tolerance", err=True)
+        sys.exit(INVARIANT_FAILURE)
+
+
+def _fit_command(name, default_gamma, summarize, doc=None):
+    """Register a command that fits once at ``--lam``."""
+    @main.command(name, help=doc)
     @click.option("--X", "x_path", type=click.Path(exists=True), required=True)
     @click.option("--y", "y_path", type=click.Path(exists=True), required=True)
     @click.option("--lam", type=float, required=True)
-    @click.option("--gamma", type=float, default=forced_gamma,
+    @click.option("--gamma", type=float, default=default_gamma,
                   show_default=True)
     @click.option("--sigma", type=float, default=1.0, show_default=True)
     @with_common
     def cmd(x_path, y_path, lam, gamma, sigma, seed, out, fmt):
-        problem = _load_problem(x_path, y_path, sigma)
-        fit = solvers.fit_lasso(problem, lam, gamma=gamma)
-        rep = stein.sure_from_fit(fit, problem.y, sigma)
-        payload = harness.results_payload(name, seed, {
-            "lam": lam, "gamma": gamma, "sigma": sigma,
-        }, {
-            "support": fit.support, "df_hat": fit.df_hat,
-            "trace_grad_sq": fit.trace_grad_sq, "gap": fit.gap,
-            "sure": rep.sure, "r_hat": rep.r_hat, "r_prime": rep.r_prime,
-            "beta_nonzero": fit.beta[fit.support],
-        })
-        _echo_or_write(payload, out, fmt)
-        if not fit.converged:
-            click.echo("solver did not reach the duality-gap tolerance",
-                       err=True)
-            sys.exit(INVARIANT_FAILURE)
+        _fit_and_report(name, {"lam": lam, "gamma": gamma, "sigma": sigma},
+                        x_path, y_path, [lam], gamma, sigma, summarize,
+                        seed, out, fmt)
     cmd.__name__ = name
     return cmd
 
 
-_fit_command("lasso", 0.0)
-_fit_command("enet", 1.0)
+def _fit_summary(problem, fits):
+    fit = fits[0]
+    rep = stein.sure_from_fit(fit, problem.y, problem.sigma)
+    return {"support": fit.support, "df_hat": fit.df_hat,
+            "trace_grad_sq": fit.trace_grad_sq, "gap": fit.gap,
+            "sure": rep.sure, "r_hat": rep.r_hat, "r_prime": rep.r_prime,
+            "beta_nonzero": fit.beta[fit.support]}
+
+
+def _sure_summary(problem, fits):
+    fit = fits[0]
+    value = stein.sure(problem.y, fit.mu_hat, fit.df_hat, problem.sigma)
+    return {"sure": value, "sure_plus": max(value, 0.0), "df_hat": fit.df_hat}
+
+
+def _sure4sure_summary(problem, fits):
+    rep = stein.sure_from_fit(fits[0], problem.y, problem.sigma)
+    return {"sure": rep.sure, "r_hat": rep.r_hat, "r_prime": rep.r_prime,
+            "r_double_prime": rep.r_double_prime, "df_hat": rep.df_hat,
+            "trace_grad_sq": rep.trace_grad_sq}
+
+
+_fit_command("lasso", 0.0, _fit_summary)
+_fit_command("enet", 1.0, _fit_summary)
+_fit_command("sure", 0.0, _sure_summary,
+             "Unbiased risk estimate of an l1 / ridged-l1 fit.")
+_fit_command("sure4sure", 0.0, _sure4sure_summary,
+             "Second-order risk estimates (accuracy of the risk estimate "
+             "itself).")
 
 
 @main.command("svt-df")
@@ -197,44 +232,6 @@ def mc_div(map_kind, x_path, y_path, lam, gamma, m, step, two_sided,
     _echo_or_write(payload, out, fmt)
 
 
-@main.command("sure")
-@click.option("--X", "x_path", type=click.Path(exists=True), required=True)
-@click.option("--y", "y_path", type=click.Path(exists=True), required=True)
-@click.option("--lam", type=float, required=True)
-@click.option("--gamma", type=float, default=0.0, show_default=True)
-@click.option("--sigma", type=float, default=1.0, show_default=True)
-@with_common
-def sure_cmd(x_path, y_path, lam, gamma, sigma, seed, out, fmt):
-    """Unbiased risk estimate of an l1 / ridged-l1 fit."""
-    problem = _load_problem(x_path, y_path, sigma)
-    fit = solvers.fit_lasso(problem, lam, gamma=gamma)
-    value = stein.sure(problem.y, fit.mu_hat, fit.df_hat, sigma)
-    payload = harness.results_payload("sure", seed, {
-        "lam": lam, "gamma": gamma, "sigma": sigma,
-    }, {"sure": value, "sure_plus": max(value, 0.0), "df_hat": fit.df_hat})
-    _echo_or_write(payload, out, fmt)
-
-
-@main.command("sure4sure")
-@click.option("--X", "x_path", type=click.Path(exists=True), required=True)
-@click.option("--y", "y_path", type=click.Path(exists=True), required=True)
-@click.option("--lam", type=float, required=True)
-@click.option("--gamma", type=float, default=0.0, show_default=True)
-@click.option("--sigma", type=float, default=1.0, show_default=True)
-@with_common
-def sure4sure(x_path, y_path, lam, gamma, sigma, seed, out, fmt):
-    """Second-order risk estimates (accuracy of the risk estimate itself)."""
-    problem = _load_problem(x_path, y_path, sigma)
-    fit = solvers.fit_lasso(problem, lam, gamma=gamma)
-    rep = stein.sure_from_fit(fit, problem.y, sigma)
-    payload = harness.results_payload("sure4sure", seed, {
-        "lam": lam, "gamma": gamma, "sigma": sigma,
-    }, {"sure": rep.sure, "r_hat": rep.r_hat, "r_prime": rep.r_prime,
-        "r_double_prime": rep.r_double_prime, "df_hat": rep.df_hat,
-        "trace_grad_sq": rep.trace_grad_sq})
-    _echo_or_write(payload, out, fmt)
-
-
 @main.command("tune")
 @click.option("--X", "x_path", type=click.Path(exists=True), required=True)
 @click.option("--y", "y_path", type=click.Path(exists=True), required=True)
@@ -250,16 +247,15 @@ def tune(x_path, y_path, lams, sigma, seed, out, fmt):
         raise click.UsageError("--lams must be a comma-separated float list")
     if not grid:
         raise click.UsageError("--lams must be nonempty")
-    problem = _load_problem(x_path, y_path, sigma)
-    values = []
-    for lam in grid:
-        fit = solvers.fit_lasso(problem, lam)
-        values.append(stein.sure(problem.y, fit.mu_hat, fit.df_hat, sigma))
-    pick = selection.sure_tune(values)
-    payload = harness.results_payload("tune", seed, {"lams": grid}, {
-        "sure_values": values, "selected_index": pick,
-        "selected_lam": grid[pick]})
-    _echo_or_write(payload, out, fmt)
+
+    def summarize(problem, fits):
+        values = [stein.sure(problem.y, fit.mu_hat, fit.df_hat, problem.sigma)
+                  for fit in fits]
+        pick = selection.sure_tune(values)
+        return {"sure_values": values, "selected_index": pick,
+                "selected_lam": grid[pick]}
+    _fit_and_report("tune", {"lams": grid}, x_path, y_path, grid, 0.0, sigma,
+                    summarize, seed, out, fmt)
 
 
 @main.command("coverage")

@@ -1,5 +1,5 @@
 """Shared numerical infrastructure: reproducible streams, data containers,
-Gaussian sampling, and a chi-square quantile routine.
+Gaussian sampling, and the chi-square CDF and quantile.
 
 Random numbers are produced by counter-based Philox generators keyed by a
 ``(seed, stream_id)`` pair, so any replication can be regenerated in
@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammainc
+from scipy.special import gammainc, gammaincinv
 
 
 @dataclass(frozen=True)
@@ -132,34 +132,18 @@ def chi_square_cdf(df: float, x) -> np.ndarray | float:
 
 
 def chi_square_quantile(df: float, prob: float) -> float:
-    """Invert the chi-square CDF by bisection.
+    """Invert the chi-square CDF through the inverse regularized gamma.
 
     Parameters
     ----------
     df : positive degrees of freedom (need not be an integer).
     prob : probability level strictly inside (0, 1).
 
-    Returns the value q with P(chi2_df <= q) = prob to relative
-    accuracy 1e-10.  Raises ValueError on invalid input and RuntimeError
-    if the bracket fails to tighten within the iteration cap.
+    Returns the value q with P(chi2_df <= q) = prob, i.e.
+    2 * gammaincinv(df / 2, prob).  Raises ValueError on invalid input.
     """
     if df <= 0:
         raise ValueError("df must be positive")
     if not (0.0 < prob < 1.0):
         raise ValueError("prob must lie strictly between 0 and 1")
-    lo = 0.0
-    hi = df + 20.0 * np.sqrt(2.0 * df) + 40.0
-    # Widen the bracket if the target mass lies beyond the default cap.
-    while chi_square_cdf(df, hi) < prob:
-        hi *= 2.0
-        if not np.isfinite(hi):
-            raise RuntimeError("quantile bracket diverged")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if chi_square_cdf(df, mid) < prob:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-10 * max(1.0, 0.5 * (lo + hi)):
-            return 0.5 * (lo + hi)
-    raise RuntimeError("chi-square quantile bisection did not converge")
+    return 2.0 * float(gammaincinv(df / 2.0, prob))

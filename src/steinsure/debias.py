@@ -82,23 +82,6 @@ def _dbeta_dy_trace(x, xq0, support, gamma):
     return float(np.trace(m))
 
 
-class _FrozenRefit:
-    """Closed-form refit on the base active set with fixed signs."""
-
-    def __init__(self, x, support, signs, lam, gamma, n):
-        self.support = support
-        self.signs = signs
-        self.rhs_pen = n * lam * signs
-        self.gamma = gamma
-        self.k = support.size
-
-    def beta_s(self, xs, y):
-        g = xs.T @ xs
-        if self.gamma != 0.0:
-            g = g + self.gamma * np.eye(self.k)
-        return np.linalg.solve(g, xs.T @ y - self.rhs_pen)
-
-
 def debias_theta(x: np.ndarray, y: np.ndarray, lam: float,
                  direction: Direction, stream: RngStream, *,
                  gamma: float = 0.0, sigma: float = 1.0,
@@ -138,8 +121,8 @@ def debias_theta(x: np.ndarray, y: np.ndarray, lam: float,
     elif lam == 0.0 or support.size == 0:
         frozen = True
 
-    refit = (_FrozenRefit(x, support, np.sign(beta[support]), lam, gamma, n)
-             if frozen and lam > 0 else None)
+    # closed-form refit on the base active set with its signs fixed
+    rhs_pen = n * lam * np.sign(beta[support]) if frozen and lam > 0 else None
     theta_proj = float(a0 @ beta)
     xq0_s = xq0[:, support]
     a0_s = a0[support]
@@ -149,8 +132,11 @@ def debias_theta(x: np.ndarray, y: np.ndarray, lam: float,
         if support.size == 0:
             return np.zeros(n)
         xs_new = xq0_s + np.outer(z_new, a0_s)
-        if refit is not None:
-            bs = refit.beta_s(xs_new, y_new)
+        if rhs_pen is not None:
+            g = xs_new.T @ xs_new
+            if gamma != 0.0:
+                g = g + gamma * np.eye(support.size)
+            bs = np.linalg.solve(g, xs_new.T @ y_new - rhs_pen)
         elif lam == 0.0:
             x_new = xq0 + np.outer(z_new, a0)
             bs = np.linalg.lstsq(x_new, y_new, rcond=None)[0][support]

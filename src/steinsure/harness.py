@@ -85,14 +85,15 @@ def emit_table_csv(rows: list[dict], path: str) -> None:
 
 
 def _jsonable(obj):
+    """Plain JSON types; NaN and infinities become None (JSON null)."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
@@ -102,7 +103,8 @@ def _jsonable(obj):
 
 def save_results_json(payload: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_jsonable(payload), handle, sort_keys=True, indent=1)
+        json.dump(_jsonable(payload), handle, sort_keys=True, indent=1,
+                  allow_nan=False)
         handle.write("\n")
 
 

@@ -17,11 +17,13 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .core import RegressionProblem
 
 HARD_ZERO = 1e-12
+# a squared singular value of X_S counts as nonzero above this share of the
+# largest; see support_spectrum
+RANK_RTOL = 1e-12
 
 
 def soft_threshold(v, t):
@@ -29,9 +31,10 @@ def soft_threshold(v, t):
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
 
 
-def default_tol(y: np.ndarray) -> float:
+def default_tol(y: np.ndarray):
+    """Duality-gap tolerance 1e-10 * (1 + ||y||^2/n), one per row of ``y``."""
     n = y.shape[-1]
-    return 1e-10 * (1.0 + float(np.sum(y * y, axis=-1)) / n)
+    return 1e-10 * (1.0 + np.sum(y * y, axis=-1) / n)
 
 
 @dataclass
@@ -77,19 +80,48 @@ def _dual_gap(x, y, beta, resid, lam, gamma):
     return primal - dual
 
 
+def _jacobian_weights(d2, gamma):
+    """Eigenvalues d^2 / (d^2 + gamma) of the fitted-value gradient on S.
+
+    ``d2`` holds the squared singular values of X_S; those at or below
+    RANK_RTOL times the largest count as zero and get weight 0.
+    """
+    d2 = np.maximum(d2, 0.0)
+    d2[d2 <= RANK_RTOL * d2.max(initial=0.0)] = 0.0
+    # a dropped value gets 0 / (0 + gamma + 1), never 0 / 0
+    return d2 / (d2 + gamma + (d2 == 0.0))
+
+
 def _df_pair(x, support, gamma):
-    """(trace, squared Frobenius norm) of the fitted-value gradient on S."""
-    k = support.size
-    if k == 0:
+    """(tr J, tr J^2) on S from the eigenvalues of X_S'X_S alone, weighted
+    as in :func:`support_spectrum`; with gamma = 0 both are rank(X_S)."""
+    if support.size == 0:
         return 0.0, 0.0
     xs = x[:, support]
-    evals = np.linalg.eigvalsh(xs.T @ xs)
-    evals = np.maximum(evals, 0.0)
+    w = _jacobian_weights(np.linalg.eigvalsh(xs.T @ xs), gamma)
+    return float(np.sum(w)), float(np.sum(w * w))
+
+
+def support_spectrum(x: np.ndarray, support, gamma: float):
+    """(basis, weights) with X_S (X_S'X_S + gamma I)^+ X_S' = U diag(w) U'.
+
+    U is an orthonormal basis of span X_S and w holds d^2 / (d^2 + gamma)
+    over the nonzero singular values d of X_S, those with d^2 > RANK_RTOL
+    d_max^2 (d > 1e-6 d_max).  Squared singular values computed from X_S'X_S
+    carry errors near 1e-16 d_max^2, so the cut sits far above that noise
+    and always drops an exactly repeated column.
+    """
+    support = np.asarray(support, dtype=int)
+    q, r = np.linalg.qr(np.asarray(x, dtype=float)[:, support])
+    rr = r @ r.T                  # same nonzero spectrum as X_S'X_S
     if gamma == 0.0:
-        # Projection case; count nonzero eigenvalues (general position: k).
-        return float(k), float(k)
-    ratio = evals / (evals + gamma)
-    return float(np.sum(ratio)), float(np.sum(ratio * ratio))
+        weights = _jacobian_weights(np.linalg.eigvalsh(rr), 0.0)
+        if weights.all():         # full rank: the thin QR factor is a basis
+            return q, weights
+    d2, w = np.linalg.eigh(rr)
+    weights = _jacobian_weights(d2, gamma)
+    keep = weights > 0.0
+    return q @ w[:, keep], weights[keep]
 
 
 def _finish(x, y, beta, lam, gamma, gap, n_iter, converged):
@@ -120,15 +152,12 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
 
     if lam == 0.0:
         if gamma == 0.0:
-            beta, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-            fit = _finish(x, y, beta, lam, gamma, 0.0, 0, True)
-            fit.df_hat = float(rank)
-            fit.trace_grad_sq = float(rank)
-            return fit
-        beta = np.linalg.solve(x.T @ x + gamma * np.eye(p), x.T @ y)
+            beta = np.linalg.lstsq(x, y, rcond=None)[0]
+        else:
+            beta = np.linalg.solve(x.T @ x + gamma * np.eye(p), x.T @ y)
+        # every column moves the fit, whatever its coefficient
         fit = _finish(x, y, beta, lam, gamma, 0.0, 0, True)
-        sup = np.arange(p)
-        fit.df_hat, fit.trace_grad_sq = _df_pair(x, sup, gamma)
+        fit.df_hat, fit.trace_grad_sq = _df_pair(x, np.arange(p), gamma)
         return fit
 
     col_sq = np.einsum("ij,ij->j", x, x)
@@ -199,8 +228,7 @@ def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
     if lam <= 0:
         raise ValueError("batch path requires lam > 0")
     col_sq = np.einsum("ij,ij->j", x, x)
-    tols = (1e-10 * (1.0 + np.einsum("ij,ij->i", ys, ys) / n)
-            if tol is None else np.full(nrep, tol))
+    tols = default_tol(ys) if tol is None else np.full(nrep, tol)
 
     betas = np.zeros((nrep, p)) if betas0 is None else np.array(betas0, dtype=float)
     # live working copies are compacted as replications converge
@@ -272,23 +300,16 @@ def check_kkt(problem: RegressionProblem, lam: float, beta: np.ndarray, *,
 def lasso_projection(x: np.ndarray, support: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto the span of the selected columns.
 
-    Rank is established by pivoted QR with threshold 1e-10 ||X_S||; a
-    rank-deficient selection raises ValueError since the projection-based
-    degrees of freedom would be ill-defined.
+    Rank follows the rule of :func:`support_spectrum`; a rank-deficient
+    selection raises ValueError, since the columns then do not determine
+    the coefficients.
     """
-    x = np.asarray(x, dtype=float)
     support = np.asarray(support, dtype=int)
-    n = x.shape[0]
-    if support.size == 0:
-        return np.zeros((n, n))
-    xs = x[:, support]
-    q, r = scipy.linalg.qr(xs, mode="economic", pivoting=True)[:2]
-    thresh = 1e-10 * np.linalg.norm(xs, 2)
-    rank = int(np.sum(np.abs(np.diag(r)) > thresh))
-    if rank < support.size:
+    basis, weights = support_spectrum(x, support, 0.0)
+    if weights.size < support.size:
         raise ValueError("selected columns are rank deficient (rank %d < %d)"
-                         % (rank, support.size))
-    return q @ q.T
+                         % (weights.size, support.size))
+    return basis @ basis.T
 
 
 def svt(y_matrix: np.ndarray, lam: float) -> SvtResult:

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import RngStream, chi_square_cdf, chi_square_quantile
 from . import solvers
@@ -114,42 +113,36 @@ def sure_diff(fit1: solvers.FitResult, fit2: solvers.FitResult, y: np.ndarray,
     return DiffReport(s1 - s2, norm_sq, r_hat_diff, cross_trace)
 
 
+def _spectral_cross_trace(a, b) -> float:
+    """tr(J_a J_b) for J = U diag(w) U' given as (U, w) pairs."""
+    m = a[0].T @ b[0]
+    return float(np.sum(m * m * np.outer(a[1], b[1])))
+
+
 def _cross_trace(x, fit1, fit2):
-    s1, s2 = fit1.support, fit2.support
-    if s1.size == 0 or s2.size == 0:
-        return 0.0
-    if fit1.gamma == 0.0 and fit2.gamma == 0.0:
-        return float(projection_cross_traces(x, [s1], [s2])[0])
-    def factor(sup, gamma):
-        xs = x[:, sup]
-        g = xs.T @ xs + gamma * np.eye(sup.size)
-        return xs, np.linalg.inv(g)
-    xs1, b1 = factor(s1, fit1.gamma)
-    xs2, b2 = factor(s2, fit2.gamma)
-    c = xs1.T @ xs2
-    return float(np.trace(b1 @ c @ b2 @ c.T))
+    return _spectral_cross_trace(
+        solvers.support_spectrum(x, fit1.support, fit1.gamma),
+        solvers.support_spectrum(x, fit2.support, fit2.gamma))
 
 
 def projection_cross_traces(x: np.ndarray, supports_a, supports_b) -> np.ndarray:
     """tr(P_a P_b) for each pair of supports, P_S projecting onto span X_S.
 
     This is the cross term tr(J_a J_b) of two plain l1 fits.  Each distinct
-    support is factored once (a thin QR), however often it recurs.
+    support is factored once by :func:`solvers.support_spectrum`, however
+    often it recurs.
     """
     x = np.asarray(x, dtype=float)
-    bases: dict[tuple, np.ndarray] = {}
+    spectra: dict[tuple, tuple] = {}
 
-    def basis(sup):
+    def spectrum(sup):
         key = tuple(sup)
-        if key not in bases:
-            bases[key] = np.linalg.qr(x[:, list(key)])[0]
-        return bases[key]
+        if key not in spectra:
+            spectra[key] = solvers.support_spectrum(x, key, 0.0)
+        return spectra[key]
 
-    out = np.empty(len(supports_a))
-    for i, (sa, sb) in enumerate(zip(supports_a, supports_b)):
-        m = basis(sa).T @ basis(sb)
-        out[i] = np.sum(m * m)
-    return out
+    return np.array([_spectral_cross_trace(spectrum(sa), spectrum(sb))
+                     for sa, sb in zip(supports_a, supports_b)])
 
 
 # ---------------------------------------------------------------------------
@@ -239,28 +232,9 @@ class SoftThresholdField(VectorField):
         return np.einsum("ij,ij->i", zs, f), np.einsum("ij,ij->i", f, f), k, k
 
 
-class LassoResidualField(VectorField):
-    """y -> y - X beta_hat(y); the Jacobian is I minus a projection."""
-
-    def __init__(self, x, lam):
-        self.x = np.asarray(x, dtype=float)
-        self.lam = float(lam)
-
-    def value(self, z):
-        from .core import RegressionProblem
-        fit = solvers.fit_lasso(RegressionProblem(self.x, z), self.lam)
-        return z - fit.mu_hat
-
-    def batch_stats(self, zs):
-        betas = solvers.fit_lasso_batch(self.x, zs, self.lam)
-        f = zs - betas @ self.x.T
-        k = np.sum(betas != 0.0, axis=1).astype(float)
-        n = float(zs.shape[1])
-        return (np.einsum("ij,ij->i", zs, f), np.einsum("ij,ij->i", f, f),
-                n - k, n - k)
-
-
 class ElasticNetResidualField(VectorField):
+    """y -> y - X beta_hat(y) for the l1 fit, ridged when gamma > 0."""
+
     def __init__(self, x, lam, gamma):
         self.x = np.asarray(x, dtype=float)
         self.lam = float(lam)
@@ -367,7 +341,7 @@ def default_field_corpus(n: int, stream: RngStream) -> dict[str, VectorField]:
         "constant": ConstantField(c),
         "linear": LinearField(a),
         "soft_threshold": SoftThresholdField(1.0),
-        "lasso_residual": LassoResidualField(x, lam),
+        "lasso_residual": ElasticNetResidualField(x, lam, 0.0),
         "enet_residual": ElasticNetResidualField(x, lam, 0.5 * lam * n),
     }
 
@@ -400,7 +374,8 @@ class ConfidenceInterval:
 
 
 def symmetric_deviation_quantile(n: int, alpha: float) -> float:
-    """v with P{ |chi2_n - n| > v sqrt(2n) } = alpha, by bisection."""
+    """v with P{ |chi2_n - n| > v sqrt(2n) } = alpha, by Brent's method."""
+    from scipy.optimize import brentq   # a heavy import; only this needs it
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must be in (0, 1)")
     root2n = math.sqrt(2.0 * n)
@@ -410,20 +385,12 @@ def symmetric_deviation_quantile(n: int, alpha: float) -> float:
         lo = chi_square_cdf(n, n - v * root2n) if n - v * root2n > 0 else 0.0
         return hi + lo
 
-    lo, hi = 0.0, 10.0
+    hi = 10.0
     while tail(hi) > alpha:
         hi *= 2.0
         if hi > 1e8:
             raise RuntimeError("deviation quantile bracket diverged")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if tail(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-12 * max(1.0, mid):
-            break
-    return 0.5 * (lo + hi)
+    return brentq(lambda v: tail(v) - alpha, 0.0, hi, xtol=1e-14)
 
 
 def lower_deviation_quantile(n: int, alpha: float) -> float:

@@ -107,3 +107,10 @@ def test_chi_square_quantile_extreme_tail():
     # itself saturates in double precision out here, hence the loose rel)
     q = chi_square_quantile(2, 1 - 1e-12)
     assert q == pytest.approx(chi2.ppf(1 - 1e-12, 2), rel=1e-4)
+
+
+def test_chi_square_quantile_small_df_lower_tail():
+    # the lower tail of a half degree of freedom sits near 1e-12, far below
+    # any absolute tolerance; only the relative error shows a bad inverse
+    assert chi_square_quantile(0.5, 0.001) == pytest.approx(
+        chi2.ppf(0.001, 0.5), rel=1e-10)

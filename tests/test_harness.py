@@ -235,3 +235,53 @@ def test_cli_debias(tmp_path):
                                    "--a0", ",".join(["1"] + ["0"] * 7)])
     assert res.exit_code == 0
     assert "theta_hat" in json.loads(res.output)["results"]
+
+
+def test_cli_non_finite_values_are_json_null(tmp_path):
+    # one probe has no spread estimate: empirical_se is infinite
+    yp = str(tmp_path / "y.csv")
+    save_matrix_csv(np.linspace(-2.0, 2.0, 9)[:, None], yp)
+    res = runner.invoke(cli.main, ["mc-div", "--map", "soft", "--y", yp,
+                                   "--lam", "0.5", "--m", "1"])
+    assert res.exit_code == 0
+
+    def reject(name):
+        raise ValueError("not JSON: %s" % name)
+
+    payload = json.loads(res.stdout, parse_constant=reject)
+    assert payload["results"]["empirical_se"] is None
+    assert harness._jsonable([np.float32("nan"), -math.inf, 1.5]) == [
+        None, None, 1.5]
+    res = runner.invoke(cli.main, ["mc-div", "--map", "soft", "--y", yp,
+                                   "--lam", "0.5", "--m", "1",
+                                   "--format", "csv"])
+    assert "empirical_se," in res.stdout.splitlines()
+
+
+def test_cli_csv_keeps_nested_fields(tmp_path):
+    xp, yp = _write_problem(tmp_path)
+    args = ["lasso", "--X", xp, "--y", yp, "--lam", "0.1"]
+    results = json.loads(runner.invoke(cli.main, args).stdout)["results"]
+    res = runner.invoke(cli.main, args + ["--format", "csv"])
+    assert res.exit_code == 0
+    rows = dict(line.split(",") for line in res.stdout.splitlines())
+    assert len(results["support"]) >= 2
+    for name in ("support", "beta_nonzero"):
+        for i, value in enumerate(results[name]):
+            assert float(rows["%s.%d" % (name, i)]) == value
+    assert float(rows["sure"]) == results["sure"]
+
+
+def test_cli_unconverged_fit_exits_2(tmp_path, monkeypatch):
+    fit_lasso = cli.solvers.fit_lasso
+    monkeypatch.setattr(cli.solvers, "fit_lasso",
+                        lambda *a, **k: fit_lasso(*a, **k, max_iter=1))
+    xp, yp = _write_problem(tmp_path)
+    data = ["--X", xp, "--y", yp]
+    for args in (["lasso", "--lam", "0.05"], ["enet", "--lam", "0.05"],
+                 ["sure", "--lam", "0.05"], ["sure4sure", "--lam", "0.05"],
+                 ["tune", "--lams", "0.05,0.3"]):
+        res = runner.invoke(cli.main, args + data)
+        assert res.exit_code == 2, args
+        assert "duality-gap tolerance" in res.stderr
+        assert json.loads(res.stdout)["kind"] == args[0]

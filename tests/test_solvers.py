@@ -233,3 +233,25 @@ def test_svt_validation():
         svt(np.ones((2, 2)), -1.0)
     with pytest.raises(ValueError):
         svt(np.ones(4), 1.0)
+
+
+def _duplicated_column_problem():
+    g = np.random.default_rng(3)
+    x = g.standard_normal((30, 8))
+    x[:, 5] = x[:, 2]
+    y = 2 * x[:, 2] + x[:, 0] + g.standard_normal(30)
+    return RegressionProblem(x, y)
+
+
+def test_lasso_df_is_rank_of_selected_columns():
+    # columns 2 and 5 coincide and both enter the support: df = rank(X_S)
+    prob = _duplicated_column_problem()
+    fit = fit_lasso(prob, 0.1)
+    assert fit.converged
+    np.testing.assert_array_equal(fit.support, [0, 1, 2, 3, 5, 6, 7])
+    xs = prob.x[:, fit.support]
+    jac = xs @ np.linalg.pinv(xs)
+    assert np.trace(jac) == pytest.approx(6.0, abs=1e-9)
+    assert fit.df_hat == fit.trace_grad_sq == 6.0
+    with pytest.raises(ValueError, match="rank 6 < 7"):
+        lasso_projection(prob.x, fit.support)

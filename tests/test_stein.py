@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -122,6 +123,60 @@ def test_projection_cross_traces_match_projections():
         p1 = solvers.lasso_projection(x, a)
         p2 = solvers.lasso_projection(x, b)
         assert value == pytest.approx(np.trace(p1 @ p2), abs=1e-12)
+
+
+def _explicit_jacobian(x, support, gamma):
+    """X_S (X_S'X_S + gamma I)^+ X_S' built with pinv; 0 on an empty S."""
+    xs = x[:, support]
+    if gamma == 0.0:
+        return xs @ np.linalg.pinv(xs)
+    return xs @ np.linalg.pinv(xs.T @ xs + gamma * np.eye(xs.shape[1])) @ xs.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), p=st.integers(1, 7),
+       extra=st.integers(2, 6), duplicate=st.booleans(),
+       gammas=st.tuples(st.sampled_from([0.0, 0.3, 4.0]),
+                        st.sampled_from([0.0, 0.3, 4.0])))
+def test_jacobian_traces_match_pinv(seed, p, extra, duplicate, gammas):
+    gen = np.random.default_rng(seed)
+    n = p + extra
+    x = gen.standard_normal((n, p)) * gen.uniform(0.5, 2.0, p)
+    if duplicate and p >= 2:
+        x[:, -1] = -1.5 * x[:, 0]
+    sups = [np.flatnonzero(gen.random(p) < 0.6) for _ in range(2)]
+    jacs = [_explicit_jacobian(x, s, g) for s, g in zip(sups, gammas)]
+    for sup, gamma, jac in zip(sups, gammas, jacs):
+        df, tr2 = solvers._df_pair(x, sup, gamma)
+        assert df == pytest.approx(np.trace(jac), abs=1e-9)
+        assert tr2 == pytest.approx(np.sum(jac * jac.T), abs=1e-9)
+        basis, weights = solvers.support_spectrum(x, sup, gamma)
+        np.testing.assert_allclose((basis * weights) @ basis.T, jac,
+                                   atol=1e-9)
+    cross = np.trace(jacs[0] @ jacs[1])
+    fits = [types.SimpleNamespace(support=s, gamma=g, mu_hat=np.zeros(n),
+                                  df_hat=0.0, trace_grad_sq=0.0)
+            for s, g in zip(sups, gammas)]
+    rep = sure_diff(fits[0], fits[1], np.zeros(n), 1.0, x=x)
+    assert rep.cross_trace == pytest.approx(cross, abs=1e-9)
+    if gammas == (0.0, 0.0):
+        got = stein.projection_cross_traces(x, sups[:1], sups[1:])
+        assert got[0] == pytest.approx(cross, abs=1e-9)
+
+
+def test_sure_diff_enet_against_lasso_explicit_jacobian():
+    x, y, lasso = _mini_fit(4, lam=0.2)
+    gamma = 3.0
+    enet = solvers.fit_elastic_net(RegressionProblem(x, y), 0.1, gamma)
+    assert enet.support.size > lasso.support.size > 0
+    j1 = _explicit_jacobian(x, enet.support, gamma)
+    j2 = _explicit_jacobian(x, lasso.support, 0.0)
+    rep = sure_diff(enet, lasso, y, 1.3, x=x)
+    d = enet.mu_hat - lasso.mu_hat
+    t = np.trace((j1 - j2) @ (j1 - j2))
+    assert rep.cross_trace == pytest.approx(np.trace(j1 @ j2), rel=1e-10)
+    assert rep.r_hat_diff == pytest.approx(
+        4 * 1.3**2 * d @ d + 4 * 1.3**4 * t, rel=1e-10)
 
 
 # ---------------------------------------------------------------- identity
