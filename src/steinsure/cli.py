@@ -22,6 +22,7 @@ from . import divergence_mc, harness, selection, solvers, stein
 click.UsageError.exit_code = 1
 
 INVARIANT_FAILURE = 2
+UNCONVERGED = "solver did not reach the duality-gap tolerance"
 
 
 def _flatten(obj, prefix=""):
@@ -121,7 +122,7 @@ def _fit_and_report(name, params, x_path, y_path, lams, gamma, sigma,
     _echo_or_write(harness.results_payload(name, seed, params,
                                            summarize(problem, fits)), out, fmt)
     if not all(fit.converged for fit in fits):
-        click.echo("solver did not reach the duality-gap tolerance", err=True)
+        click.echo(UNCONVERGED, err=True)
         sys.exit(INVARIANT_FAILURE)
 
 
@@ -230,6 +231,9 @@ def mc_div(map_kind, x_path, y_path, lam, gamma, m, step, two_sided,
     }, {"value": est.value, "a": est.a, "se_bound": est.se_bound,
         "empirical_se": est.empirical_se})
     _echo_or_write(payload, out, fmt)
+    if getattr(f, "unconverged", 0):
+        click.echo(UNCONVERGED, err=True)
+        sys.exit(INVARIANT_FAILURE)
 
 
 @main.command("tune")
@@ -312,8 +316,11 @@ def debias(x_path, y_path, lam, a0, sigma, seed, out, fmt):
     if a0_vec.size != problem.p:
         raise click.UsageError("--a0 must have length p = %d" % problem.p)
     direction = debias_mod.direction_setup(a0_vec, None, problem.p)
-    rep = debias_mod.debias_theta(problem.x, problem.y, lam, direction,
-                                  RngStream(seed), sigma=sigma)
+    try:
+        rep = debias_mod.debias_theta(problem.x, problem.y, lam, direction,
+                                      RngStream(seed), sigma=sigma)
+    except ValueError as exc:   # collinear selection or too dense a fit
+        raise click.ClickException(str(exc))
     payload = harness.results_payload("debias", seed, {"lam": lam}, {
         "theta_hat": rep.theta_hat, "theta_proj": rep.theta_proj,
         "nu_hat": rep.nu_hat, "b_hat": rep.b_hat, "a_hat": rep.a_hat,

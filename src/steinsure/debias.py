@@ -71,14 +71,15 @@ class DebiasReport:
 
 
 def _dbeta_dy_trace(x, xq0, support, gamma):
-    """trace[ X Q0 d beta_hat / d y ] on a fixed active set."""
+    """trace[ X Q0 d beta_hat / d y ] on a fixed active set.
+
+    At gamma = 0 a rank-deficient selection raises ValueError naming the
+    rank (see :func:`solvers.refit_gram`).
+    """
     if support.size == 0:
         return 0.0
     xs = x[:, support]
-    g = xs.T @ xs
-    if gamma != 0.0:
-        g = g + gamma * np.eye(support.size)
-    m = np.linalg.solve(g, xs.T @ xq0[:, support])
+    m = np.linalg.solve(solvers.refit_gram(xs, gamma), xs.T @ xq0[:, support])
     return float(np.trace(m))
 
 
@@ -94,6 +95,8 @@ def debias_theta(x: np.ndarray, y: np.ndarray, lam: float,
     Simulation mode (``beta_true`` given) additionally returns the exact
     pivot and the per-replication variance proxy ``v_star``; averaging
     ``v_star`` over replications matches the variance of the pivot.
+    Collinear selected columns at ``gamma = 0`` raise ValueError, since
+    they do not determine the coefficients the corrections differentiate.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -122,7 +125,7 @@ def debias_theta(x: np.ndarray, y: np.ndarray, lam: float,
         frozen = True
 
     # closed-form refit on the base active set with its signs fixed
-    rhs_pen = n * lam * np.sign(beta[support]) if frozen and lam > 0 else None
+    signs = np.sign(beta[support]) if frozen and lam > 0 else None
     theta_proj = float(a0 @ beta)
     xq0_s = xq0[:, support]
     a0_s = a0[support]
@@ -132,11 +135,9 @@ def debias_theta(x: np.ndarray, y: np.ndarray, lam: float,
         if support.size == 0:
             return np.zeros(n)
         xs_new = xq0_s + np.outer(z_new, a0_s)
-        if rhs_pen is not None:
-            g = xs_new.T @ xs_new
-            if gamma != 0.0:
-                g = g + gamma * np.eye(support.size)
-            bs = np.linalg.solve(g, xs_new.T @ y_new - rhs_pen)
+        if signs is not None:
+            bs = solvers.fixed_sign_refit(xs_new, y_new, signs, lam,
+                                          solvers.refit_gram(xs_new, gamma))
         elif lam == 0.0:
             x_new = xq0 + np.outer(z_new, a0)
             bs = np.linalg.lstsq(x_new, y_new, rcond=None)[0][support]

@@ -124,14 +124,44 @@ def support_spectrum(x: np.ndarray, support, gamma: float):
     return q @ w[:, keep], weights[keep]
 
 
-def _finish(x, y, beta, lam, gamma, gap, n_iter, converged):
+def _finish(x, y, beta, lam, gamma, gap, n_iter, converged, df_cols=None):
+    """FitResult of ``beta``; df is taken on ``df_cols`` (default: S)."""
     beta = np.where(np.abs(beta) <= HARD_ZERO, 0.0, beta)
     support = np.flatnonzero(beta)
     mu_hat = x @ beta
-    df, tr2 = _df_pair(x, support, gamma)
+    df, tr2 = _df_pair(x, support if df_cols is None else df_cols, gamma)
     return FitResult(beta=beta, mu_hat=mu_hat, support=support, df_hat=df,
                      trace_grad_sq=tr2, lam=lam, gamma=gamma, gap=gap,
                      n_iter=n_iter, converged=converged)
+
+
+def refit_gram(xs: np.ndarray, gamma: float) -> np.ndarray:
+    """X_S'X_S + gamma I, the matrix of :func:`fixed_sign_refit` on S.
+
+    At gamma = 0 a rank-deficient X_S, by the rule of
+    :func:`support_spectrum`, raises ValueError: the selected columns then
+    do not determine the coefficients.
+    """
+    g = xs.T @ xs
+    if gamma != 0.0:
+        return g + gamma * np.eye(xs.shape[1])
+    rank = int(np.count_nonzero(_jacobian_weights(np.linalg.eigvalsh(g), 0.0)))
+    if rank < xs.shape[1]:
+        raise ValueError("selected columns are rank deficient (rank %d < %d)"
+                         % (rank, xs.shape[1]))
+    return g
+
+
+def fixed_sign_refit(xs: np.ndarray, y: np.ndarray, signs: np.ndarray,
+                     lam: float, gram: np.ndarray) -> np.ndarray:
+    """Minimizer of F over the coefficients on S with their signs fixed.
+
+    Solves (X_S'X_S + gamma I) b_S = X_S'y - n lam s for ``gram`` from
+    :func:`refit_gram`.  It is the minimizer of F itself exactly when the
+    full coefficient vector passes a strict :func:`check_kkt`: a flipped or
+    vanished sign and an inactive column at the bound each fail it.
+    """
+    return np.linalg.solve(gram, xs.T @ y - xs.shape[0] * lam * signs)
 
 
 def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
@@ -156,9 +186,8 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
         else:
             beta = np.linalg.solve(x.T @ x + gamma * np.eye(p), x.T @ y)
         # every column moves the fit, whatever its coefficient
-        fit = _finish(x, y, beta, lam, gamma, 0.0, 0, True)
-        fit.df_hat, fit.trace_grad_sq = _df_pair(x, np.arange(p), gamma)
-        return fit
+        return _finish(x, y, beta, lam, gamma, 0.0, 0, True,
+                       df_cols=np.arange(p))
 
     col_sq = np.einsum("ij,ij->j", x, x)
     beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=float)

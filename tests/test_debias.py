@@ -112,3 +112,54 @@ def test_pivot_variance_check_small_sim():
     out = dm.pivot_variance_check(pivots, v_stars)
     assert out["pivot_mean_z"] <= 4.0
     assert out["variance_z"] <= 4.0
+
+
+def _inlined_refit(monkeypatch):
+    """Give debias the frozen refit it used to inline: the Gram matrix plus
+    n lam sign(beta_S) and one solve, with no rank check."""
+    def gram(xs, gamma):
+        g = xs.T @ xs
+        if gamma != 0.0:
+            g = g + gamma * np.eye(xs.shape[1])
+        return g
+
+    def refit(xs, y, signs, lam, g):
+        rhs_pen = xs.shape[0] * lam * signs
+        return np.linalg.solve(g, xs.T @ y - rhs_pen)
+    monkeypatch.setattr(solvers, "refit_gram", gram)
+    monkeypatch.setattr(solvers, "fixed_sign_refit", refit)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 2.0])
+def test_frozen_refit_kernel_is_bit_identical_to_inlined(gamma):
+    gen = np.random.default_rng(10)
+    n, p = 80, 60
+    x = gen.standard_normal((n, p))
+    beta = np.zeros(p)
+    beta[:4] = 1.0
+    y = x @ beta + gen.standard_normal(n)
+    d = dm.direction_setup(np.eye(p)[1], None, p)
+
+    def run():
+        return dm.debias_theta(x, y, 0.3, d, RngStream(11), gamma=gamma,
+                               beta_true=beta)
+    rep = run()
+    with pytest.MonkeyPatch.context() as mp:
+        _inlined_refit(mp)
+        old = run()
+    assert rep.frozen_support
+    assert rep == old
+
+
+def test_collinear_selection_raises_value_error():
+    # columns 2 and 5 coincide and the l1 fit selects both
+    gen = np.random.default_rng(3)
+    x = gen.standard_normal((30, 8))
+    x[:, 5] = x[:, 2]
+    y = 2 * x[:, 2] + x[:, 0] + gen.standard_normal(30)
+    d = dm.direction_setup(np.eye(8)[0], None, 8)
+    with pytest.raises(ValueError, match=r"rank deficient \(rank 6 < 7\)"):
+        dm.debias_theta(x, y, 0.1, d, RngStream(1))
+    # a ridge term makes the same selection well posed
+    rep = dm.debias_theta(x, y, 0.1, d, RngStream(1), gamma=0.5)
+    assert np.isfinite(rep.theta_hat)

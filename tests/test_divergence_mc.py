@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from steinsure.core import RegressionProblem, RngStream
 from steinsure import solvers
@@ -87,3 +88,88 @@ def test_divergence_table_deterministic():
     assert t1 == t2
     assert [r["m"] for r in t1] == [5, 20]
     assert all(r["std"] > 0 for r in t1)
+
+
+def _recording(monkeypatch, name):
+    """Replace ``solvers.<name>`` by a wrapper that records each call as
+    (positional args, output)."""
+    original = getattr(solvers, name)
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        calls.append((args, original(*args, **kwargs)))
+        return calls[-1][1]
+    monkeypatch.setattr(solvers, name, wrapper)
+    return calls
+
+
+def _map_problem(seed, n, p):
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((n, p))
+    y = x[:, :3] @ gen.standard_normal(3) + gen.standard_normal(n)
+    lam = 0.3 * float(np.max(np.abs(x.T @ y))) / n
+    return gen, x, y, lam
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.0, 0.3, 5.0]),
+       shape=st.sampled_from([(40, 15), (30, 60), (80, 40)]),
+       step=st.sampled_from([1e-6, 1e-4]))
+def test_lasso_map_refit_equals_cold_fit(seed, gamma, shape, step):
+    gen, x, y, lam = _map_problem(seed, *shape)
+    fit_lasso, check_kkt = solvers.fit_lasso, solvers.check_kkt
+    f = lasso_fitted_map(x, lam, gamma)
+    with pytest.MonkeyPatch.context() as mp:
+        fits = _recording(mp, "fit_lasso")
+        reports = _recording(mp, "check_kkt")
+        for yv in [y] + [y + step * gen.standard_normal(shape[0])
+                         for _ in range(4)]:
+            before = len(fits)
+            mu = f(yv)
+            prob = RegressionProblem(x, yv)
+            cold = fit_lasso(prob, lam, gamma=gamma)
+            assert np.linalg.norm(mu - cold.mu_hat) <= 1e-8 * np.linalg.norm(
+                cold.mu_hat)
+            if len(fits) == before:
+                # refit accepted: it carries a strict certificate at the
+                # default margin and has the cold fit's support and signs
+                (_, _, beta), report = reports[-1]
+                assert report.strict and report.margin == 1e-6
+                assert check_kkt(prob, lam, beta, gamma=gamma).strict
+                np.testing.assert_array_equal(np.sign(beta),
+                                              np.sign(cold.beta))
+    assert f.unconverged == 0
+
+
+def test_lasso_map_support_change_falls_back_to_descent(monkeypatch):
+    gen, x, y, lam = _map_problem(21, 60, 40)
+    f = lasso_fitted_map(x, lam, 0.3)
+    fits = _recording(monkeypatch, "fit_lasso")
+    reports = _recording(monkeypatch, "check_kkt")
+    f(y)
+    f(y + 1e-6 * gen.standard_normal(60))
+    assert len(fits) == 1 and reports[-1][1].strict   # refit taken
+    y_far = x[:, 20:26] @ np.full(6, 3.0) + gen.standard_normal(60)
+    mu = f(y_far)
+    assert not reports[-1][1].strict and len(fits) == 2
+    warm = fits[-1][1]
+    assert warm.converged
+    np.testing.assert_array_equal(mu, warm.mu_hat)
+    cold = solvers.fit_lasso(RegressionProblem(x, y_far), lam, gamma=0.3)
+    assert not np.array_equal(cold.support, fits[0][1].support)
+    np.testing.assert_allclose(mu, cold.mu_hat, rtol=1e-8, atol=1e-10)
+
+
+def test_lasso_map_collinear_support_never_refits(monkeypatch):
+    # columns 2 and 5 coincide and both enter the l1 support
+    gen = np.random.default_rng(3)
+    x = gen.standard_normal((30, 8))
+    x[:, 5] = x[:, 2]
+    y = 2 * x[:, 2] + x[:, 0] + gen.standard_normal(30)
+    fits = _recording(monkeypatch, "fit_lasso")
+    reports = _recording(monkeypatch, "check_kkt")
+    f = lasso_fitted_map(x, 0.1)
+    est = mc_divergence(f, y, 20, RngStream(4))
+    assert np.isfinite(est.value)
+    assert len(fits) == 21 and not reports
+    np.testing.assert_array_equal(fits[0][1].support, [0, 1, 2, 3, 5, 6, 7])

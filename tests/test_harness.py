@@ -285,3 +285,40 @@ def test_cli_unconverged_fit_exits_2(tmp_path, monkeypatch):
         assert res.exit_code == 2, args
         assert "duality-gap tolerance" in res.stderr
         assert json.loads(res.stdout)["kind"] == args[0]
+
+
+def test_cli_debias_collinear_selection_is_usage_error(tmp_path):
+    # columns 2 and 5 coincide and the l1 fit selects both
+    gen = np.random.default_rng(3)
+    x = gen.standard_normal((30, 8))
+    x[:, 5] = x[:, 2]
+    y = 2 * x[:, 2] + x[:, 0] + gen.standard_normal(30)
+    xp, yp = str(tmp_path / "X.csv"), str(tmp_path / "y.csv")
+    save_matrix_csv(x, xp)
+    save_matrix_csv(y[:, None], yp)
+    res = runner.invoke(cli.main, ["debias", "--X", xp, "--y", yp,
+                                   "--lam", "0.1",
+                                   "--a0", ",".join(["1"] + ["0"] * 7)])
+    assert res.exit_code == 1
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+    assert res.stderr.strip().splitlines() == [
+        "Error: selected columns are rank deficient (rank 6 < 7)"]
+
+
+def test_cli_mc_div_unconverged_map_exits_2(tmp_path, monkeypatch):
+    xp, yp = _write_problem(tmp_path)
+    runs = [["mc-div", "--X", xp, "--y", yp, "--lam", "0.05", "--m", "3",
+             "--map", kind, "--gamma", gamma]
+            for kind, gamma in (("lasso", "0"), ("enet", "1.0"))]
+    for args in runs:
+        res = runner.invoke(cli.main, args)
+        assert res.exit_code == 0 and res.stderr == "", args
+    fit_lasso = cli.solvers.fit_lasso
+    monkeypatch.setattr(cli.solvers, "fit_lasso",
+                        lambda *a, **k: fit_lasso(*a, **k, max_iter=1))
+    for args in runs:
+        res = runner.invoke(cli.main, args)
+        assert res.exit_code == 2, args
+        assert res.stderr.strip() == ("solver did not reach the "
+                                      "duality-gap tolerance")
+        assert json.loads(res.stdout)["kind"] == "mc_div"

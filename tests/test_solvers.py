@@ -255,3 +255,38 @@ def test_lasso_df_is_rank_of_selected_columns():
     assert fit.df_hat == fit.trace_grad_sq == 6.0
     with pytest.raises(ValueError, match="rank 6 < 7"):
         lasso_projection(prob.x, fit.support)
+
+
+@pytest.mark.parametrize("n, p, gamma", [(30, 10, 0.0), (8, 12, 0.0),
+                                         (30, 10, 4.0), (8, 12, 0.5)])
+def test_lam_zero_df_on_all_columns(n, p, gamma):
+    # least squares and ridge: df and tr J^2 from one eigvalsh of X'X
+    prob = _problem(11, n=n, p=p)
+    fit = fit_lasso(prob, 0.0, gamma=gamma)
+    df, tr2 = solvers._df_pair(prob.x, np.arange(p), gamma)
+    assert (fit.df_hat, fit.trace_grad_sq) == (df, tr2)
+    if gamma == 0.0:
+        assert fit.df_hat == fit.trace_grad_sq == min(n, p)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_fixed_sign_refit_is_the_minimizer_on_a_stable_support(gamma):
+    prob = _problem(12, n=50, p=30, s0=4, amp=2.0)
+    fit = fit_lasso(prob, 0.2, gamma=gamma)
+    s = fit.support
+    xs = prob.x[:, s]
+    bs = solvers.fixed_sign_refit(xs, prob.y, np.sign(fit.beta[s]), 0.2,
+                                  solvers.refit_gram(xs, gamma))
+    beta = np.zeros(prob.p)
+    beta[s] = bs
+    np.testing.assert_allclose(beta, fit.beta, rtol=1e-9, atol=1e-12)
+    assert check_kkt(prob, 0.2, beta, gamma=gamma).strict
+
+
+def test_refit_gram_rejects_collinear_columns_without_ridge():
+    prob = _duplicated_column_problem()
+    xs = prob.x[:, [0, 2, 5]]
+    with pytest.raises(ValueError, match=r"rank deficient \(rank 2 < 3\)"):
+        solvers.refit_gram(xs, 0.0)
+    np.testing.assert_array_equal(solvers.refit_gram(xs, 0.5),
+                                  xs.T @ xs + 0.5 * np.eye(3))
