@@ -328,6 +328,9 @@ def debias(x_path, y_path, lam, a0, sigma, seed, out, fmt):
         "note": "theta_hat estimates the contrast scaled by %.17g"
                 % direction.scale})
     _echo_or_write(payload, out, fmt)
+    if rep.unconverged:
+        click.echo(UNCONVERGED, err=True)
+        sys.exit(INVARIANT_FAILURE)
 
 
 @main.command("run")
@@ -339,8 +342,8 @@ def run(ctx, config_path, seed, out, fmt):
     """Run an experiment described by a JSON config file."""
     try:
         config = harness.ExperimentConfig.from_json(config_path)
-    except (ValueError, json.JSONDecodeError) as exc:
-        raise click.UsageError("bad config: %s" % exc)
+    except (ValueError, TypeError) as exc:   # JSON, kind, params or reps
+        raise click.ClickException("bad config: %s" % exc)
     if config.kind == "debias" and "threads" not in config.params:
         config.params["threads"] = ctx.obj.get("threads", 1)
     payload = harness.run_experiment(config)

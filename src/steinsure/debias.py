@@ -64,23 +64,11 @@ class DebiasReport:
     b_hat: float
     a_hat: float
     z0_norm_sq: float
-    frozen_support: bool    # whether probe refits reused the base support
+    frozen_support: bool    # no probe refit needed the descent fallback
     pivot: float | None = None
     v_star: float | None = None
     theta_true: float | None = None
-
-
-def _dbeta_dy_trace(x, xq0, support, gamma):
-    """trace[ X Q0 d beta_hat / d y ] on a fixed active set.
-
-    At gamma = 0 a rank-deficient selection raises ValueError naming the
-    rank (see :func:`solvers.refit_gram`).
-    """
-    if support.size == 0:
-        return 0.0
-    xs = x[:, support]
-    m = np.linalg.solve(solvers.refit_gram(xs, gamma), xs.T @ xq0[:, support])
-    return float(np.trace(m))
+    unconverged: int = 0    # descent fits that missed the gap tolerance
 
 
 def debias_theta(x: np.ndarray, y: np.ndarray, lam: float,
@@ -88,10 +76,11 @@ def debias_theta(x: np.ndarray, y: np.ndarray, lam: float,
                  gamma: float = 0.0, sigma: float = 1.0,
                  beta_true: np.ndarray | None = None,
                  m_probes: int = 10, m_trace: int = 6,
-                 a: float | None = None,
-                 kkt_margin_factor: float = 10.0) -> DebiasReport:
+                 a: float | None = None) -> DebiasReport:
     """De-biased contrast estimate with Monte Carlo interaction corrections.
 
+    Each probe is answered by the refit on the base support and signs that
+    :func:`solvers.certified_refit` certifies, or else by warm descent.
     Simulation mode (``beta_true`` given) additionally returns the exact
     pivot and the per-replication variance proxy ``v_star``; averaging
     ``v_star`` over replications matches the variance of the pivot.
@@ -105,51 +94,40 @@ def debias_theta(x: np.ndarray, y: np.ndarray, lam: float,
     z0 = x @ u0
     xq0 = x - np.outer(z0, a0)
 
-    problem = RegressionProblem(x, y, sigma)
-    fit = solvers.fit_lasso(problem, lam, gamma=gamma)
+    fit = solvers.fit_lasso(RegressionProblem(x, y, sigma), lam, gamma=gamma)
     beta = fit.beta
     support = fit.support
     if lam == 0.0:
         support = np.arange(p)
-    nu_hat = _dbeta_dy_trace(x, xq0, support, gamma)
+    xq0_s = xq0[:, support]
+    # nu_hat on the fixed active set; at gamma = 0 refit_gram rejects
+    # collinear columns
+    xs = x[:, support]
+    m = np.linalg.solve(solvers.refit_gram(xs, gamma), xs.T @ xq0_s)
+    nu_hat = float(np.trace(m))
 
     if a is None:
         a = 1e-4 * (1.0 + float(np.linalg.norm(z0)) / math.sqrt(n))
 
-    frozen = False
-    if lam > 0 and support.size > 0:
-        rep = solvers.check_kkt(problem, lam, beta, gamma=gamma,
-                                margin=kkt_margin_factor * a)
-        frozen = rep.strict
-    elif lam == 0.0 or support.size == 0:
-        frozen = True
-
-    # closed-form refit on the base active set with its signs fixed
-    signs = np.sign(beta[support]) if frozen and lam > 0 else None
+    signs = np.sign(beta[support])
     theta_proj = float(a0 @ beta)
-    xq0_s = xq0[:, support]
     a0_s = a0[support]
+    cd_fits = []
 
     def fitted_on_support(z_new, y_new):
         """X Q0 beta_hat for the reassembled design z_new a0' + X Q0."""
-        if support.size == 0:
-            return np.zeros(n)
         xs_new = xq0_s + np.outer(z_new, a0_s)
-        if signs is not None:
-            bs = solvers.fixed_sign_refit(xs_new, y_new, signs, lam,
-                                          solvers.refit_gram(xs_new, gamma))
-        elif lam == 0.0:
-            x_new = xq0 + np.outer(z_new, a0)
-            bs = np.linalg.lstsq(x_new, y_new, rcond=None)[0][support]
-        else:
-            x_new = xq0 + np.outer(z_new, a0)
-            warm = solvers.fit_lasso(RegressionProblem(x_new, y_new, sigma),
-                                     lam, gamma=gamma, beta0=beta)
-            bs = warm.beta[support] if np.array_equal(warm.support, support) \
-                else None
-            if bs is None:
-                return xq0 @ warm.beta
-        return xq0_s @ bs
+        bs = solvers.certified_refit(
+            xs_new, y_new, support, signs, lam,
+            solvers.refit_gram(xs_new, gamma),
+            lambda r: xq0.T @ r + a0 * (z_new @ r), gamma=gamma)
+        if bs is not None:
+            return xq0_s @ bs
+        warm = solvers.fit_lasso(
+            RegressionProblem(xq0 + np.outer(z_new, a0), y_new, sigma), lam,
+            gamma=gamma, beta0=beta)
+        cd_fits.append(warm)
+        return xq0 @ warm.beta
 
     base_fixed_y = fitted_on_support(z0, y)
     gen_stream = stream.generator()
@@ -171,35 +149,35 @@ def debias_theta(x: np.ndarray, y: np.ndarray, lam: float,
 
     report = DebiasReport(theta_hat=theta_hat, theta_proj=theta_proj,
                           nu_hat=nu_hat, b_hat=b_hat, a_hat=a_hat,
-                          z0_norm_sq=z0_norm_sq, frozen_support=frozen)
-    if beta_true is None:
-        return report
+                          z0_norm_sq=z0_norm_sq, frozen_support=True)
+    if beta_true is not None:
+        beta_true = np.asarray(beta_true, dtype=float).ravel()
+        theta = float(a0 @ beta_true)
+        report.theta_true = theta
+        report.pivot = denom * (theta_hat - theta)
 
-    beta_true = np.asarray(beta_true, dtype=float).ravel()
-    theta = float(a0 @ beta_true)
-    report.theta_true = theta
-    report.pivot = denom * (theta_hat - theta)
+        # v_star: residual part plus tr(J^2) of f(z0) = X Q0 (beta_hat - beta),
+        # where moving z0 also moves y through the mean (y = X beta + eps).
+        resid_part = x @ beta - y - z0 * float(a0 @ (beta - beta_true))
+        f_base = xq0 @ (beta - beta_true)
 
-    # v_star: residual part plus tr(J^2) of f(z0) = X Q0 (beta_hat - beta),
-    # where moving z0 also moves y through the mean (y = X beta + eps).
-    resid_part = x @ beta - y - z0 * float(a0 @ (beta - beta_true))
-    f_base = xq0 @ (beta - beta_true)
+        def f_total(z_new):
+            y_new = y + (z_new - z0) * theta
+            return fitted_on_support(z_new, y_new) - xq0 @ beta_true
 
-    def f_total(z_new):
-        y_new = y + (z_new - z0) * theta
-        return fitted_on_support(z_new, y_new) - xq0 @ beta_true
-
-    tr_terms = np.empty(m_trace)
-    for j in range(m_trace):
-        zt = gen_stream.standard_normal(n)
-        u = (f_total(z0 + a * zt) - f_base) / a
-        norm_u = float(np.linalg.norm(u))
-        if norm_u == 0.0:
-            tr_terms[j] = 0.0
-            continue
-        ju = (f_total(z0 + a * (u / norm_u)) - f_base) * (norm_u / a)
-        tr_terms[j] = float(zt @ ju)
-    report.v_star = float(resid_part @ resid_part) + float(np.mean(tr_terms))
+        tr_terms = np.empty(m_trace)
+        for j in range(m_trace):
+            zt = gen_stream.standard_normal(n)
+            u = (f_total(z0 + a * zt) - f_base) / a
+            norm_u = float(np.linalg.norm(u))
+            if norm_u == 0.0:
+                tr_terms[j] = 0.0
+                continue
+            ju = (f_total(z0 + a * (u / norm_u)) - f_base) * (norm_u / a)
+            tr_terms[j] = float(zt @ ju)
+        report.v_star = float(resid_part @ resid_part) + float(np.mean(tr_terms))
+    report.frozen_support = not cd_fits
+    report.unconverged = sum(not f.converged for f in [fit] + cd_fits)
     return report
 
 

@@ -80,18 +80,17 @@ class _FittedMap:
         self.unconverged = 0
 
     def __call__(self, yv):
-        problem = RegressionProblem(self.x, yv)
         if self.refit is not None:
             support, signs, xs, gram = self.refit
-            beta = np.zeros(self.x.shape[1])
-            beta[support] = solvers.fixed_sign_refit(xs, problem.y, signs,
-                                                     self.lam, gram)
-            if solvers.check_kkt(problem, self.lam, beta,
-                                 gamma=self.gamma).strict:
-                self.beta = beta
-                return xs @ beta[support]
-        fit = solvers.fit_lasso(problem, self.lam, gamma=self.gamma,
-                                beta0=self.beta)
+            bs = solvers.certified_refit(xs, yv, support, signs, self.lam,
+                                         gram, lambda r: self.x.T @ r,
+                                         gamma=self.gamma)
+            if bs is not None:
+                self.beta = np.zeros(self.x.shape[1])
+                self.beta[support] = bs
+                return xs @ bs
+        fit = solvers.fit_lasso(RegressionProblem(self.x, yv), self.lam,
+                                gamma=self.gamma, beta0=self.beta)
         self.unconverged += not fit.converged
         self.beta, self.refit = fit.beta, None
         if fit.converged and self.lam > 0:
@@ -105,18 +104,15 @@ class _FittedMap:
 
 
 def lasso_fitted_map(x: np.ndarray, lam: float, gamma: float = 0.0):
-    """y -> X beta_hat(y) for the l1 / elastic-net fit, with a certified
-    fixed-support refit.
+    """y -> X beta_hat(y) for the l1 / elastic-net fit.
 
     After a converged coordinate-descent fit the map keeps its support S,
-    signs s and X_S'X_S + gamma I.  Each later call first solves the
-    closed-form refit (X_S'X_S + gamma I) b_S = X_S'y - n lam s
-    (:func:`solvers.fixed_sign_refit`) and returns X_S b_S only when the
-    result passes a strict :func:`solvers.check_kkt`, which certifies it
-    as the exact minimizer.  Otherwise the call runs a warm-started
-    :func:`solvers.fit_lasso` from the last beta and keeps the new support.
-    The refit is kept only for gamma > 0 or a full-rank X_S, so a
-    collinear l1 support always goes through coordinate descent.
+    signs and X_S'X_S + gamma I, and answers each later call with the
+    closed-form refit on S when :func:`solvers.certified_refit` certifies
+    it as the exact minimizer; otherwise with a warm-started
+    :func:`solvers.fit_lasso` from the last beta, whose support it keeps.
+    The refit is kept only for gamma > 0 or a full-rank X_S, so a collinear
+    l1 support always goes through coordinate descent.
 
     The returned callable counts in ``unconverged`` the coordinate-descent
     fits that missed the duality-gap tolerance.

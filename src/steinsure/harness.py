@@ -10,6 +10,7 @@ tables round-trip through CSV at 17 significant digits.
 from __future__ import annotations
 
 import concurrent.futures
+import inspect
 import json
 import math
 import os
@@ -495,9 +496,28 @@ EXPERIMENTS = {
 
 @dataclass
 class ExperimentConfig:
+    """A named experiment and its keyword parameters.
+
+    An unknown kind, a parameter the experiment does not take, and fewer
+    than two replications raise ValueError here, before anything runs.
+    """
     kind: str
     seed: int = 1
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.kind not in EXPERIMENTS:
+            raise ValueError("unknown experiment %r (choose from %s)"
+                             % (self.kind, ", ".join(sorted(EXPERIMENTS))))
+        takes = inspect.signature(EXPERIMENTS[self.kind]).parameters
+        unknown = sorted(set(self.params) - (set(takes) - {"seed"}))
+        if unknown:
+            raise ValueError("experiment %r takes no parameter %s"
+                             % (self.kind, ", ".join(map(repr, unknown))))
+        reps = self.params.get("reps", 2)
+        if not isinstance(reps, int) or reps < 2:
+            raise ValueError("reps must be an integer of at least 2, not %r"
+                             % (reps,))
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":
@@ -510,9 +530,6 @@ class ExperimentConfig:
 
 
 def run_experiment(config: ExperimentConfig) -> dict:
-    if config.kind not in EXPERIMENTS:
-        raise ValueError("unknown experiment %r (choose from %s)"
-                         % (config.kind, ", ".join(sorted(EXPERIMENTS))))
     fn = EXPERIMENTS[config.kind]
     results = fn(seed=config.seed, **config.params)
     return results_payload(config.kind, config.seed, config.params, results)

@@ -24,6 +24,7 @@ HARD_ZERO = 1e-12
 # a squared singular value of X_S counts as nonzero above this share of the
 # largest; see support_spectrum
 RANK_RTOL = 1e-12
+KKT_MARGIN = 1e-6
 
 
 def soft_threshold(v, t):
@@ -157,11 +158,30 @@ def fixed_sign_refit(xs: np.ndarray, y: np.ndarray, signs: np.ndarray,
     """Minimizer of F over the coefficients on S with their signs fixed.
 
     Solves (X_S'X_S + gamma I) b_S = X_S'y - n lam s for ``gram`` from
-    :func:`refit_gram`.  It is the minimizer of F itself exactly when the
-    full coefficient vector passes a strict :func:`check_kkt`: a flipped or
-    vanished sign and an inactive column at the bound each fail it.
+    :func:`refit_gram`; :func:`certified_refit` decides whether it minimizes F.
     """
     return np.linalg.solve(gram, xs.T @ y - xs.shape[0] * lam * signs)
+
+
+def certified_refit(xs: np.ndarray, y: np.ndarray, support: np.ndarray,
+                    signs: np.ndarray, lam: float, gram: np.ndarray, xt, *,
+                    gamma: float = 0.0) -> np.ndarray | None:
+    """:func:`fixed_sign_refit` on S if it minimizes F, else None.
+
+    b_S on ``support``, zero elsewhere, must pass the strict test of
+    :func:`check_kkt` at its default margin (a flipped or vanished sign and
+    an inactive column at the bound each fail it), with X'r = ``xt(r)``
+    formed from the caller's own factors of X.  At lam = 0 the refit is the
+    normal-equation solve on S and needs no certificate.
+    """
+    bs = fixed_sign_refit(xs, y, signs, lam, gram)
+    if lam == 0.0:
+        return bs
+    xtr = xt(y - xs @ bs)
+    beta = np.zeros(xtr.size)
+    beta[support] = bs
+    return bs if _kkt_report(xtr, beta, xs.shape[0] * lam, gamma,
+                             KKT_MARGIN).strict else None
 
 
 def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
@@ -305,7 +325,7 @@ def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
 
 
 def check_kkt(problem: RegressionProblem, lam: float, beta: np.ndarray, *,
-              gamma: float = 0.0, margin: float = 1e-6) -> KktReport:
+              gamma: float = 0.0, margin: float = KKT_MARGIN) -> KktReport:
     """Stationarity check for the l1 objective at a candidate solution.
 
     Inactive coordinates need |x_j' r - gamma b_j| <= n lam (1 - margin);
@@ -314,10 +334,16 @@ def check_kkt(problem: RegressionProblem, lam: float, beta: np.ndarray, *,
     """
     if lam <= 0:
         raise ValueError("KKT report requires lam > 0")
-    x, y = problem.x, problem.y
-    n = x.shape[0]
+    x = problem.x
     beta = np.asarray(beta, dtype=float)
-    corr = (x.T @ (y - x @ beta) - gamma * beta) / (n * lam)
+    nz = np.flatnonzero(beta)
+    return _kkt_report(x.T @ (problem.y - x[:, nz] @ beta[nz]), beta,
+                       x.shape[0] * lam, gamma, margin)
+
+
+def _kkt_report(xtr, beta, n_lam, gamma, margin) -> KktReport:
+    """check_kkt of ``beta`` from xtr = X'(y - X beta) and n_lam = n lam."""
+    corr = (xtr - gamma * beta) / n_lam
     active = beta != 0.0
     max_inactive = float(np.max(np.abs(corr[~active]))) if np.any(~active) else 0.0
     max_active = (float(np.max(np.abs(corr[active] - np.sign(beta[active]))))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from steinsure.core import RngStream
+from steinsure.core import RegressionProblem, RngStream
 from steinsure import debias as dm
 from steinsure import solvers
+from test_divergence_mc import _recording
 
 
 def test_direction_normalization():
@@ -77,12 +79,68 @@ def test_frozen_support_path_agrees_with_resolve():
     lam = 0.3
     d = dm.direction_setup(np.eye(p)[0], None, p)
     rep_fast = dm.debias_theta(x, y, lam, d, RngStream(7), beta_true=beta)
-    # force the slow full-resolve route by demanding an impossible margin
-    rep_slow = dm.debias_theta(x, y, lam, d, RngStream(7), beta_true=beta,
-                               kkt_margin_factor=1e12)
+    # force the slow warm-resolve route by making every certificate reject
+    report = solvers._kkt_report
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solvers, "_kkt_report",
+                   lambda *args: report(*args)._replace(strict=False))
+        rep_slow = dm.debias_theta(x, y, lam, d, RngStream(7),
+                                   beta_true=beta)
     assert rep_fast.frozen_support and not rep_slow.frozen_support
+    assert rep_fast.unconverged == rep_slow.unconverged == 0
     assert rep_fast.b_hat == pytest.approx(rep_slow.b_hat, rel=1e-3, abs=1e-3)
     assert rep_fast.theta_hat == pytest.approx(rep_slow.theta_hat, rel=1e-6)
+
+
+def test_probe_failing_certificate_is_answered_by_descent(monkeypatch):
+    # orthogonal columns, lam just below |x_1'y| / n: the base fit keeps a
+    # tiny b_1 that probes of the contrast column x_0 can flip
+    gen = np.random.default_rng(12)
+    n = 50
+    x = np.linalg.qr(gen.standard_normal((n, 2)))[0] * np.sqrt(n)
+    beta = np.array([3.0, 0.5])
+    y = x @ beta + gen.standard_normal(n)
+    lam = abs(float(x[:, 1] @ y)) / n * (1 - 1e-6)
+    d = dm.direction_setup(np.array([1.0, 0.0]), None, 2)
+    fit_lasso = solvers.fit_lasso
+    refits = _recording(monkeypatch, "certified_refit")
+    fits = _recording(monkeypatch, "fit_lasso")
+    rep = dm.debias_theta(x, y, lam, d, RngStream(13), beta_true=beta)
+    rejected = sum(bs is None for _, bs in refits)
+    assert 0 < rejected < len(refits) and len(fits) == 1 + rejected
+    np.testing.assert_array_equal(fits[0][1].support, [0, 1])
+    assert not rep.frozen_support and rep.unconverged == 0
+    for (problem, _), warm in fits[1:]:
+        # the refit kept b_1's sign, but the minimizer drops x_1
+        np.testing.assert_array_equal(warm.support, [0])
+        np.testing.assert_allclose(warm.beta, fit_lasso(problem, lam).beta,
+                                   rtol=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.0, 0.3]),
+       shape=st.sampled_from([(30, 10), (40, 60), (80, 40)]),
+       step=st.sampled_from([1e-4, 1.0]))
+def test_reassembled_product_matches_check_kkt(seed, gamma, shape, step):
+    # the certificate of a debias probe takes X'r as xq0'r + a0 (z'r)
+    gen = np.random.default_rng(seed)
+    n, p = shape
+    x = gen.standard_normal((n, p))
+    y = x[:, :3] @ np.ones(3) + gen.standard_normal(n)
+    d = dm.direction_setup(gen.standard_normal(p), None, p)
+    xq0 = x - np.outer(x @ d.u0, d.a0)
+    z = x @ d.u0 + step * gen.standard_normal(n)
+    prob = RegressionProblem(xq0 + np.outer(z, d.a0), y)
+    lam = 0.3 * float(np.max(np.abs(prob.x.T @ y))) / n
+    beta = solvers.fit_lasso(prob, lam, gamma=gamma).beta
+    r = y - prob.x @ beta
+    got = solvers._kkt_report(xq0.T @ r + d.a0 * (z @ r), beta, n * lam,
+                              gamma, solvers.KKT_MARGIN)
+    ref = solvers.check_kkt(prob, lam, beta, gamma=gamma)
+    assert got.strict == ref.strict
+    assert got.max_inactive == pytest.approx(ref.max_inactive, abs=1e-12)
+    assert got.max_active_error == pytest.approx(ref.max_active_error,
+                                                 abs=1e-12)
 
 
 def test_nonpositive_denominator_raises():

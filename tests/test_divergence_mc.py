@@ -121,7 +121,7 @@ def test_lasso_map_refit_equals_cold_fit(seed, gamma, shape, step):
     f = lasso_fitted_map(x, lam, gamma)
     with pytest.MonkeyPatch.context() as mp:
         fits = _recording(mp, "fit_lasso")
-        reports = _recording(mp, "check_kkt")
+        refits = _recording(mp, "certified_refit")
         for yv in [y] + [y + step * gen.standard_normal(shape[0])
                          for _ in range(4)]:
             before = len(fits)
@@ -133,8 +133,10 @@ def test_lasso_map_refit_equals_cold_fit(seed, gamma, shape, step):
             if len(fits) == before:
                 # refit accepted: it carries a strict certificate at the
                 # default margin and has the cold fit's support and signs
-                (_, _, beta), report = reports[-1]
-                assert report.strict and report.margin == 1e-6
+                (_, _, support, *_), bs = refits[-1]
+                assert bs is not None and solvers.KKT_MARGIN == 1e-6
+                beta = np.zeros(shape[1])
+                beta[support] = bs
                 assert check_kkt(prob, lam, beta, gamma=gamma).strict
                 np.testing.assert_array_equal(np.sign(beta),
                                               np.sign(cold.beta))
@@ -145,13 +147,13 @@ def test_lasso_map_support_change_falls_back_to_descent(monkeypatch):
     gen, x, y, lam = _map_problem(21, 60, 40)
     f = lasso_fitted_map(x, lam, 0.3)
     fits = _recording(monkeypatch, "fit_lasso")
-    reports = _recording(monkeypatch, "check_kkt")
+    refits = _recording(monkeypatch, "certified_refit")
     f(y)
     f(y + 1e-6 * gen.standard_normal(60))
-    assert len(fits) == 1 and reports[-1][1].strict   # refit taken
+    assert len(fits) == 1 and refits[-1][1] is not None   # refit taken
     y_far = x[:, 20:26] @ np.full(6, 3.0) + gen.standard_normal(60)
     mu = f(y_far)
-    assert not reports[-1][1].strict and len(fits) == 2
+    assert refits[-1][1] is None and len(fits) == 2
     warm = fits[-1][1]
     assert warm.converged
     np.testing.assert_array_equal(mu, warm.mu_hat)
@@ -167,9 +169,9 @@ def test_lasso_map_collinear_support_never_refits(monkeypatch):
     x[:, 5] = x[:, 2]
     y = 2 * x[:, 2] + x[:, 0] + gen.standard_normal(30)
     fits = _recording(monkeypatch, "fit_lasso")
-    reports = _recording(monkeypatch, "check_kkt")
+    refits = _recording(monkeypatch, "certified_refit")
     f = lasso_fitted_map(x, 0.1)
     est = mc_divergence(f, y, 20, RngStream(4))
     assert np.isfinite(est.value)
-    assert len(fits) == 21 and not reports
+    assert len(fits) == 21 and not refits
     np.testing.assert_array_equal(fits[0][1].support, [0, 1, 2, 3, 5, 6, 7])

@@ -214,6 +214,25 @@ def test_cli_non_finite_input_is_usage_error(tmp_path):
         "Error: %s:13: non-finite value" % yp]
 
 
+@pytest.mark.parametrize("config, message", [
+    ({"kind": "nope"}, "unknown experiment 'nope'"),
+    ({"kind": "debias", "params": {"nreps": 10}},
+     "experiment 'debias' takes no parameter 'nreps'"),
+    ({"kind": "debias", "params": {"reps": 0}},
+     "reps must be an integer of at least 2, not 0"),
+])
+def test_cli_run_bad_config_is_one_line_usage_error(tmp_path, config,
+                                                    message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    res = runner.invoke(cli.main, ["run", "--config", str(cfg)])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)   # no traceback
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: bad config: ")
+    assert message in lines[0]
+
+
 def test_cli_run_output_is_byte_identical(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "unbiasedness", "seed": 5, "params": {
@@ -280,7 +299,8 @@ def test_cli_unconverged_fit_exits_2(tmp_path, monkeypatch):
     data = ["--X", xp, "--y", yp]
     for args in (["lasso", "--lam", "0.05"], ["enet", "--lam", "0.05"],
                  ["sure", "--lam", "0.05"], ["sure4sure", "--lam", "0.05"],
-                 ["tune", "--lams", "0.05,0.3"]):
+                 ["tune", "--lams", "0.05,0.3"],
+                 ["debias", "--lam", "0.05", "--a0", "1,0,0,0,0,0,0,0"]):
         res = runner.invoke(cli.main, args + data)
         assert res.exit_code == 2, args
         assert "duality-gap tolerance" in res.stderr

@@ -125,6 +125,34 @@ def test_batch_matches_scalar():
             np.testing.assert_allclose(betas[i], ref.beta, atol=1e-7)
 
 
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 60),
+       p=st.integers(5, 80), reps=st.integers(1, 4),
+       frac=st.floats(0.1, 0.9), gamma=st.sampled_from([0.0, 0.3]))
+def test_batch_rows_equal_scalar_fits_and_pass_kkt(seed, n, p, reps, frac,
+                                                   gamma):
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((n, p))
+    ys = x[:, :3] @ gen.standard_normal(min(3, p)) \
+        + gen.standard_normal((reps, n))
+    lam = frac * float(np.max(np.abs(ys @ x))) / n   # a share of lam_max
+    betas = fit_lasso_batch(x, ys, lam, gamma=gamma)
+    for y, beta in zip(ys, betas):
+        prob = RegressionProblem(x, y)
+        np.testing.assert_allclose(
+            beta, fit_lasso(prob, lam, gamma=gamma).beta, rtol=0, atol=1e-6)
+        rep = check_kkt(prob, lam, beta, gamma=gamma)
+        assert rep.strict
+        # check_kkt takes the residual from the nonzero columns alone
+        corr = (x.T @ (y - x @ beta) - gamma * beta) / (n * lam)
+        active = beta != 0.0
+        assert rep.max_inactive == pytest.approx(
+            np.max(np.abs(corr[~active]), initial=0.0), abs=1e-12)
+        assert rep.max_active_error == pytest.approx(np.max(
+            np.abs(corr[active] - np.sign(beta[active])), initial=0.0),
+            abs=1e-12)
+
+
 def test_batch_requires_positive_lam():
     with pytest.raises(ValueError):
         fit_lasso_batch(np.eye(3), np.ones((1, 3)), 0.0)
