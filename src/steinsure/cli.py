@@ -318,7 +318,7 @@ def debias(x_path, y_path, lam, a0, sigma, seed, out, fmt):
     direction = debias_mod.direction_setup(a0_vec, None, problem.p)
     try:
         rep = debias_mod.debias_theta(problem.x, problem.y, lam, direction,
-                                      RngStream(seed), sigma=sigma)
+                                      sigma=sigma)
     except ValueError as exc:   # collinear selection or too dense a fit
         raise click.ClickException(str(exc))
     payload = harness.results_payload("debias", seed, {"lam": lam}, {
@@ -351,6 +351,9 @@ def run(ctx, config_path, seed, out, fmt):
         harness.save_results_json(payload, out)
     else:
         _echo_or_write(payload, None, fmt)
+    if payload["results"].get("unconverged"):
+        click.echo(UNCONVERGED, err=True)
+        sys.exit(INVARIANT_FAILURE)
 
 
 if __name__ == "__main__":

@@ -13,12 +13,11 @@ uses the interaction corrections
     B_hat  = trace[ X Q0  d beta_hat / d z0 ]   (y held fixed),
     A_hat  = B_hat + <a0, beta_hat> nu_hat.
 
-nu_hat is analytic for the l1 / ridged-l1 path; B_hat is always obtained by
-probing the z0-dependence with finite differences (no analytic derivative
-of the refitted coefficients is attempted).  The pivot
-(||z0||^2 - nu_hat)(theta_hat - theta) is exactly mean-zero with a variance
-characterized by the map f(z0) = X Q0 (beta_hat - beta); simulation mode
-tracks both.
+All three are closed-form traces of the fixed-sign refit's derivatives on
+the support of the l1 / ridged-l1 fit (see :func:`debias_theta`).  The
+pivot (||z0||^2 - nu_hat)(theta_hat - theta) is exactly mean-zero with a
+variance characterized by the map f(z0) = X Q0 (beta_hat - beta);
+simulation mode tracks both.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RegressionProblem, RngStream
+from .core import RegressionProblem
 from . import solvers
 
 
@@ -64,92 +63,67 @@ class DebiasReport:
     b_hat: float
     a_hat: float
     z0_norm_sq: float
-    frozen_support: bool    # no probe refit needed the descent fallback
+    frozen_support: bool    # the base refit passed the strict certificate
     pivot: float | None = None
     v_star: float | None = None
     theta_true: float | None = None
-    unconverged: int = 0    # descent fits that missed the gap tolerance
+    unconverged: int = 0    # 1 when the base fit missed the gap tolerance
 
 
 def debias_theta(x: np.ndarray, y: np.ndarray, lam: float,
-                 direction: Direction, stream: RngStream, *,
-                 gamma: float = 0.0, sigma: float = 1.0,
-                 beta_true: np.ndarray | None = None,
-                 m_probes: int = 10, m_trace: int = 6,
-                 a: float | None = None) -> DebiasReport:
-    """De-biased contrast estimate with Monte Carlo interaction corrections.
+                 direction: Direction, *, gamma: float = 0.0,
+                 sigma: float = 1.0,
+                 beta_true: np.ndarray | None = None) -> DebiasReport:
+    """De-biased contrast estimate with closed-form interaction corrections.
 
-    Each probe is answered by the refit on the base support and signs that
-    :func:`solvers.certified_refit` certifies, or else by warm descent.
-    Simulation mode (``beta_true`` given) additionally returns the exact
-    pivot and the per-replication variance proxy ``v_star``; averaging
-    ``v_star`` over replications matches the variance of the pivot.
-    Collinear selected columns at ``gamma = 0`` raise ValueError, since
-    they do not determine the coefficients the corrections differentiate.
+    The corrections are traces of the fixed-sign refit's derivatives on the
+    support and signs of the base fit.  ``frozen_support`` says whether
+    :func:`solvers.certified_refit` certified that refit; if not, the
+    descent fit on the same support stands in.  Simulation mode
+    (``beta_true`` given) also returns the exact pivot and the variance
+    proxy ``v_star``, whose mean over replications matches the variance of
+    the pivot.  Collinear selected columns at ``gamma = 0`` raise
+    ValueError, since they do not determine the coefficients.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    n, p = x.shape
     a0, u0 = direction.a0, direction.u0
     z0 = x @ u0
-    xq0 = x - np.outer(z0, a0)
 
     fit = solvers.fit_lasso(RegressionProblem(x, y, sigma), lam, gamma=gamma)
-    beta = fit.beta
     support = fit.support
     if lam == 0.0:
-        support = np.arange(p)
-    xq0_s = xq0[:, support]
-    # nu_hat on the fixed active set; at gamma = 0 refit_gram rejects
-    # collinear columns
+        support = np.arange(x.shape[1])
     xs = x[:, support]
-    m = np.linalg.solve(solvers.refit_gram(xs, gamma), xs.T @ xq0_s)
-    nu_hat = float(np.trace(m))
-
-    if a is None:
-        a = 1e-4 * (1.0 + float(np.linalg.norm(z0)) / math.sqrt(n))
-
-    signs = np.sign(beta[support])
-    theta_proj = float(a0 @ beta)
+    # at gamma = 0 refit_gram rejects collinear columns
+    gram = solvers.refit_gram(xs, gamma)
+    beta_s = solvers.certified_refit(
+        xs, y, support, np.sign(fit.beta[support]), lam, gram,
+        lambda r: x.T @ r, gamma=gamma)
+    frozen = beta_s is not None
+    if not frozen:
+        beta_s = fit.beta[support]
     a0_s = a0[support]
-    cd_fits = []
+    theta_proj = float(a0_s @ beta_s)
+    resid = y - xs @ beta_s
 
-    def fitted_on_support(z_new, y_new):
-        """X Q0 beta_hat for the reassembled design z_new a0' + X Q0."""
-        xs_new = xq0_s + np.outer(z_new, a0_s)
-        bs = solvers.certified_refit(
-            xs_new, y_new, support, signs, lam,
-            solvers.refit_gram(xs_new, gamma),
-            lambda r: xq0.T @ r + a0 * (z_new @ r), gamma=gamma)
-        if bs is not None:
-            return xq0_s @ bs
-        warm = solvers.fit_lasso(
-            RegressionProblem(xq0 + np.outer(z_new, a0), y_new, sigma), lam,
-            gamma=gamma, beta0=beta)
-        cd_fits.append(warm)
-        return xq0 @ warm.beta
+    # A G^-1, with A = X_S - z0 a0_S' the selected columns of X Q0
+    ag = np.linalg.solve(gram, (xs - np.outer(z0, a0_s)).T).T
+    nu_hat = float(np.sum(ag * xs))
+    w = resid @ ag
+    a_hat = float(w @ a0_s)
+    b_hat = a_hat - theta_proj * nu_hat
 
-    base_fixed_y = fitted_on_support(z0, y)
-    gen_stream = stream.generator()
-
-    # B_hat: divergence of z0 -> X Q0 beta_hat(y fixed, X reassembled)
-    terms = np.empty(m_probes)
-    for j in range(m_probes):
-        zt = gen_stream.standard_normal(n)
-        diff = (fitted_on_support(z0 + a * zt, y) - base_fixed_y) / a
-        terms[j] = float(zt @ diff)
-    b_hat = float(np.mean(terms))
-
-    a_hat = b_hat + theta_proj * nu_hat
     z0_norm_sq = float(z0 @ z0)
     denom = z0_norm_sq - nu_hat
     if denom <= 0:
         raise ValueError("correction denominator is nonpositive")
-    theta_hat = theta_proj + (float(z0 @ (y - x @ beta)) + a_hat) / denom
+    theta_hat = theta_proj + (float(z0 @ resid) + a_hat) / denom
 
     report = DebiasReport(theta_hat=theta_hat, theta_proj=theta_proj,
                           nu_hat=nu_hat, b_hat=b_hat, a_hat=a_hat,
-                          z0_norm_sq=z0_norm_sq, frozen_support=True)
+                          z0_norm_sq=z0_norm_sq, frozen_support=frozen,
+                          unconverged=int(not fit.converged))
     if beta_true is not None:
         beta_true = np.asarray(beta_true, dtype=float).ravel()
         theta = float(a0 @ beta_true)
@@ -158,26 +132,12 @@ def debias_theta(x: np.ndarray, y: np.ndarray, lam: float,
 
         # v_star: residual part plus tr(J^2) of f(z0) = X Q0 (beta_hat - beta),
         # where moving z0 also moves y through the mean (y = X beta + eps).
-        resid_part = x @ beta - y - z0 * float(a0 @ (beta - beta_true))
-        f_base = xq0 @ (beta - beta_true)
-
-        def f_total(z_new):
-            y_new = y + (z_new - z0) * theta
-            return fitted_on_support(z_new, y_new) - xq0 @ beta_true
-
-        tr_terms = np.empty(m_trace)
-        for j in range(m_trace):
-            zt = gen_stream.standard_normal(n)
-            u = (f_total(z0 + a * zt) - f_base) / a
-            norm_u = float(np.linalg.norm(u))
-            if norm_u == 0.0:
-                tr_terms[j] = 0.0
-                continue
-            ju = (f_total(z0 + a * (u / norm_u)) - f_base) * (norm_u / a)
-            tr_terms[j] = float(zt @ ju)
-        report.v_star = float(resid_part @ resid_part) + float(np.mean(tr_terms))
-    report.frozen_support = not cd_fits
-    report.unconverged = sum(not f.converged for f in [fit] + cd_fits)
+        # J = A G^-1 M with M = a0_S r' + (theta - theta_proj) X_S', so
+        # tr(J^2) = tr(K^2) for the |S| x |S| matrix K = M A G^-1.
+        resid_part = -resid - z0 * (theta_proj - theta)
+        k = np.outer(a0_s, w) + (theta - theta_proj) * (xs.T @ ag)
+        report.v_star = (float(resid_part @ resid_part)
+                         + float(np.sum(k * k.T)))
     return report
 
 

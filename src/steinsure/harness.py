@@ -389,17 +389,20 @@ def _debias_rep(args):
     eps = sigma * RngStream(seed, 50001 + 3 * rep).generator().standard_normal(n)
     y = x @ beta + eps
     direction = debias_mod.direction_setup(np.eye(p)[0], None, p)
-    rep_out = debias_mod.debias_theta(
-        x, y, lam, direction, RngStream(seed, 50002 + 3 * rep),
-        sigma=sigma, beta_true=beta)
+    rep_out = debias_mod.debias_theta(x, y, lam, direction, sigma=sigma,
+                                      beta_true=beta)
     return (rep_out.pivot, rep_out.v_star, rep_out.theta_hat,
-            rep_out.frozen_support)
+            rep_out.frozen_support, rep_out.unconverged)
 
 
 def experiment_debias(n: int = 200, p: int = 300, s0: int = 5,
                       reps: int = 2000, seed: int = 1, sigma: float = 1.0,
                       lam: float | None = None, threads: int = 1) -> dict:
-    """Pivot moments for the de-biased contrast in simulation mode."""
+    """Pivot moments for the de-biased contrast in simulation mode.
+
+    ``unconverged`` counts the replications whose base fit missed the
+    duality-gap tolerance.
+    """
     if lam is None:
         lam = default_lam(n, p, sigma, 1.0)
     args = [(seed, r, n, p, s0, lam, sigma, 1.0) for r in range(reps)]
@@ -415,6 +418,7 @@ def experiment_debias(n: int = 200, p: int = 300, s0: int = 5,
         "n": n, "p": p, "s0": s0, "lam": lam,
         "frozen_fraction": float(np.mean([r[3] for r in results])),
         "theta_hat_mean": float(np.mean([r[2] for r in results])),
+        "unconverged": sum(r[4] for r in results),
     })
     return check
 
@@ -499,7 +503,8 @@ class ExperimentConfig:
     """A named experiment and its keyword parameters.
 
     An unknown kind, a parameter the experiment does not take, and fewer
-    than two replications raise ValueError here, before anything runs.
+    than two replications (``reps``) or realizations (``n_real``) raise
+    ValueError here, before anything runs.
     """
     kind: str
     seed: int = 1
@@ -514,10 +519,12 @@ class ExperimentConfig:
         if unknown:
             raise ValueError("experiment %r takes no parameter %s"
                              % (self.kind, ", ".join(map(repr, unknown))))
-        reps = self.params.get("reps", 2)
-        if not isinstance(reps, int) or reps < 2:
-            raise ValueError("reps must be an integer of at least 2, not %r"
-                             % (reps,))
+        # a spread needs two replications, or two realizations per table row
+        for name in ("reps", "n_real"):
+            count = self.params.get(name, 2)
+            if not isinstance(count, int) or count < 2:
+                raise ValueError("%s must be an integer of at least 2, not %r"
+                                 % (name, count))
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":

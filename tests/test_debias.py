@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from steinsure.core import RegressionProblem, RngStream
+from steinsure.core import RegressionProblem, RngStream, gaussian_design
 from steinsure import debias as dm
 from steinsure import solvers
-from test_divergence_mc import _recording
+from steinsure.divergence_mc import mc_divergence
 
 
 def test_direction_normalization():
@@ -46,7 +46,7 @@ def test_scalar_ols_exact():
     eps = gen.standard_normal(40)
     y = x[:, 0] * beta[0] + eps
     d = dm.direction_setup(np.array([1.0]), None, 1)
-    rep = dm.debias_theta(x, y, 0.0, d, RngStream(3), beta_true=beta)
+    rep = dm.debias_theta(x, y, 0.0, d, beta_true=beta)
     ols = float(np.linalg.lstsq(x, y, rcond=None)[0][0])
     assert rep.theta_hat == pytest.approx(ols, abs=1e-10)
     assert rep.nu_hat == 0.0 and rep.b_hat == 0.0
@@ -60,7 +60,7 @@ def test_empty_support_corrections_vanish():
     y = gen.standard_normal(30)
     lam = 10.0 * float(np.max(np.abs(x.T @ y))) / 30
     d = dm.direction_setup(np.eye(10)[0], None, 10)
-    rep = dm.debias_theta(x, y, lam, d, RngStream(5))
+    rep = dm.debias_theta(x, y, lam, d)
     assert rep.theta_proj == 0.0
     assert rep.nu_hat == 0.0 and rep.b_hat == 0.0 and rep.a_hat == 0.0
     # theta_hat reduces to the marginal score estimate
@@ -78,43 +78,85 @@ def test_frozen_support_path_agrees_with_resolve():
     y = x @ beta + gen.standard_normal(n)
     lam = 0.3
     d = dm.direction_setup(np.eye(p)[0], None, p)
-    rep_fast = dm.debias_theta(x, y, lam, d, RngStream(7), beta_true=beta)
-    # force the slow warm-resolve route by making every certificate reject
+    rep_fast = dm.debias_theta(x, y, lam, d, beta_true=beta)
+    # make every certificate reject: the descent fit on the same support
+    # stands in for the refit
     report = solvers._kkt_report
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solvers, "_kkt_report",
                    lambda *args: report(*args)._replace(strict=False))
-        rep_slow = dm.debias_theta(x, y, lam, d, RngStream(7),
-                                   beta_true=beta)
+        rep_slow = dm.debias_theta(x, y, lam, d, beta_true=beta)
     assert rep_fast.frozen_support and not rep_slow.frozen_support
     assert rep_fast.unconverged == rep_slow.unconverged == 0
-    assert rep_fast.b_hat == pytest.approx(rep_slow.b_hat, rel=1e-3, abs=1e-3)
-    assert rep_fast.theta_hat == pytest.approx(rep_slow.theta_hat, rel=1e-6)
+    for name in ("theta_hat", "b_hat", "v_star"):
+        assert getattr(rep_fast, name) == pytest.approx(
+            getattr(rep_slow, name), rel=1e-9), name
 
 
-def test_probe_failing_certificate_is_answered_by_descent(monkeypatch):
-    # orthogonal columns, lam just below |x_1'y| / n: the base fit keeps a
-    # tiny b_1 that probes of the contrast column x_0 can flip
-    gen = np.random.default_rng(12)
-    n = 50
-    x = np.linalg.qr(gen.standard_normal((n, 2)))[0] * np.sqrt(n)
-    beta = np.array([3.0, 0.5])
+def _refit_on_base_support(x, y, lam, gamma, d):
+    """z0, (X Q0)_S and the fixed-sign refit (z, y) -> beta_S on the base
+    fit's support S and signs, with X reassembled as z a0' + X Q0."""
+    fit = solvers.fit_lasso(RegressionProblem(x, y), lam, gamma=gamma)
+    support = fit.support
+    signs = np.sign(fit.beta[support])
+    z0 = x @ d.u0
+    a0_s = d.a0[support]
+    xq0_s = x[:, support] - np.outer(z0, a0_s)
+
+    def coef(z, yv):
+        xs = xq0_s + np.outer(z, a0_s)
+        return solvers.fixed_sign_refit(xs, yv, signs, lam,
+                                        solvers.refit_gram(xs, gamma))
+    return z0, xq0_s, coef
+
+
+def _central_jacobian(f, z0, h=1e-5):
+    return np.column_stack([(f(z0 + h * e) - f(z0 - h * e)) / (2 * h)
+                            for e in np.eye(z0.size)])
+
+
+@pytest.mark.parametrize("gamma", [0.0, 3.0])
+def test_closed_forms_match_finite_difference_jacobian(gamma):
+    gen = np.random.default_rng(14)
+    n, p = 60, 40
+    x = gen.standard_normal((n, p))
+    beta = np.zeros(p)
+    beta[:3] = 1.0
     y = x @ beta + gen.standard_normal(n)
-    lam = abs(float(x[:, 1] @ y)) / n * (1 - 1e-6)
-    d = dm.direction_setup(np.array([1.0, 0.0]), None, 2)
-    fit_lasso = solvers.fit_lasso
-    refits = _recording(monkeypatch, "certified_refit")
-    fits = _recording(monkeypatch, "fit_lasso")
-    rep = dm.debias_theta(x, y, lam, d, RngStream(13), beta_true=beta)
-    rejected = sum(bs is None for _, bs in refits)
-    assert 0 < rejected < len(refits) and len(fits) == 1 + rejected
-    np.testing.assert_array_equal(fits[0][1].support, [0, 1])
-    assert not rep.frozen_support and rep.unconverged == 0
-    for (problem, _), warm in fits[1:]:
-        # the refit kept b_1's sign, but the minimizer drops x_1
-        np.testing.assert_array_equal(warm.support, [0])
-        np.testing.assert_allclose(warm.beta, fit_lasso(problem, lam).beta,
-                                   rtol=1e-12)
+    d = dm.direction_setup(gen.standard_normal(p), None, p)
+    rep = dm.debias_theta(x, y, 0.2, d, gamma=gamma, beta_true=beta)
+    assert rep.frozen_support
+
+    z0, xq0_s, coef = _refit_on_base_support(x, y, 0.2, gamma, d)
+    theta = float(d.a0 @ beta)
+    # B_hat: y held fixed; v_star: y = X beta + eps moves with z0
+    j_fixed = _central_jacobian(lambda z: xq0_s @ coef(z, y), z0)
+    j_total = _central_jacobian(
+        lambda z: xq0_s @ coef(z, y + (z - z0) * theta), z0)
+    bs = coef(z0, y)
+    # X beta_hat - y - z0 <a0, beta_hat - beta>, with X_S = xq0_s + z0 a0_S'
+    resid_part = xq0_s @ bs - y + z0 * theta
+    assert rep.b_hat == pytest.approx(np.trace(j_fixed), rel=1e-6)
+    # tr(J^2) is small beside the residual part, so it is checked alone
+    assert rep.v_star - resid_part @ resid_part == pytest.approx(
+        np.trace(j_total @ j_total), rel=1e-6)
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.0, 0.3]),
+       shape=st.sampled_from([(30, 10), (40, 60), (80, 40)]))
+def test_b_hat_matches_monte_carlo_divergence(seed, gamma, shape):
+    gen = np.random.default_rng(seed)
+    n, p = shape
+    x = gen.standard_normal((n, p))
+    y = x[:, :3] @ np.ones(3) + gen.standard_normal(n)
+    d = dm.direction_setup(gen.standard_normal(p), None, p)
+    lam = 0.3 * float(np.max(np.abs(x.T @ y))) / n
+    rep = dm.debias_theta(x, y, lam, d, gamma=gamma)
+    z0, xq0_s, coef = _refit_on_base_support(x, y, lam, gamma, d)
+    est = mc_divergence(lambda z: xq0_s @ coef(z, y), z0, 200,
+                        RngStream(seed % 1000), a=1e-6)
+    assert abs(est.value - rep.b_hat) <= 4.0 * est.empirical_se + 1e-6
 
 
 @settings(max_examples=30, deadline=None)
@@ -122,7 +164,8 @@ def test_probe_failing_certificate_is_answered_by_descent(monkeypatch):
        shape=st.sampled_from([(30, 10), (40, 60), (80, 40)]),
        step=st.sampled_from([1e-4, 1.0]))
 def test_reassembled_product_matches_check_kkt(seed, gamma, shape, step):
-    # the certificate of a debias probe takes X'r as xq0'r + a0 (z'r)
+    # certified_refit's certificate may take X'r from factors of X, here
+    # xq0'r + a0 (z'r) for X = z a0' + xq0
     gen = np.random.default_rng(seed)
     n, p = shape
     x = gen.standard_normal((n, p))
@@ -149,7 +192,7 @@ def test_nonpositive_denominator_raises():
     y = np.random.default_rng(8).standard_normal(5)
     d = dm.direction_setup(np.eye(5)[0], None, 5)
     with pytest.raises(ValueError):
-        dm.debias_theta(x, y, 1.0, d, RngStream(9))
+        dm.debias_theta(x, y, 1.0, d)
 
 
 def test_pivot_variance_check_small_sim():
@@ -163,8 +206,26 @@ def test_pivot_variance_check_small_sim():
         beta[:3] = 1.0
         y = x @ beta + gen.standard_normal(n)
         d = dm.direction_setup(np.eye(p)[0], None, p)
-        rep = dm.debias_theta(x, y, 0.35, d, RngStream(100, 7 * r + 1),
-                              beta_true=beta)
+        rep = dm.debias_theta(x, y, 0.35, d, beta_true=beta)
+        pivots.append(rep.pivot)
+        v_stars.append(rep.v_star)
+    out = dm.pivot_variance_check(pivots, v_stars)
+    assert out["pivot_mean_z"] <= 4.0
+    assert out["variance_z"] <= 4.0
+
+
+def test_pivot_variance_check_ar1_design():
+    # rows N(0, Sigma) with Sigma_ij = 0.5^|i-j|: u0 = Sigma^{-1} a0 != a0
+    n, p = 60, 40
+    cov = 0.5 ** np.abs(np.subtract.outer(np.arange(p), np.arange(p)))
+    d = dm.direction_setup(np.eye(p)[1], cov, p)
+    beta = np.zeros(p)
+    beta[:3] = 1.0
+    pivots, v_stars = [], []
+    for r in range(200):
+        x = gaussian_design(RngStream(200, 2 * r), n, p, cov)
+        y = x @ beta + RngStream(200, 2 * r + 1).generator().standard_normal(n)
+        rep = dm.debias_theta(x, y, 0.35, d, beta_true=beta)
         pivots.append(rep.pivot)
         v_stars.append(rep.v_star)
     out = dm.pivot_variance_check(pivots, v_stars)
@@ -199,8 +260,7 @@ def test_frozen_refit_kernel_is_bit_identical_to_inlined(gamma):
     d = dm.direction_setup(np.eye(p)[1], None, p)
 
     def run():
-        return dm.debias_theta(x, y, 0.3, d, RngStream(11), gamma=gamma,
-                               beta_true=beta)
+        return dm.debias_theta(x, y, 0.3, d, gamma=gamma, beta_true=beta)
     rep = run()
     with pytest.MonkeyPatch.context() as mp:
         _inlined_refit(mp)
@@ -217,7 +277,7 @@ def test_collinear_selection_raises_value_error():
     y = 2 * x[:, 2] + x[:, 0] + gen.standard_normal(30)
     d = dm.direction_setup(np.eye(8)[0], None, 8)
     with pytest.raises(ValueError, match=r"rank deficient \(rank 6 < 7\)"):
-        dm.debias_theta(x, y, 0.1, d, RngStream(1))
+        dm.debias_theta(x, y, 0.1, d)
     # a ridge term makes the same selection well posed
-    rep = dm.debias_theta(x, y, 0.1, d, RngStream(1), gamma=0.5)
+    rep = dm.debias_theta(x, y, 0.1, d, gamma=0.5)
     assert np.isfinite(rep.theta_hat)

@@ -220,6 +220,9 @@ def test_cli_non_finite_input_is_usage_error(tmp_path):
      "experiment 'debias' takes no parameter 'nreps'"),
     ({"kind": "debias", "params": {"reps": 0}},
      "reps must be an integer of at least 2, not 0"),
+    ({"kind": "mc_divergence", "params": {"kind": "svt", "n_real": 1,
+                                          "m_grid": [2]}},
+     "n_real must be an integer of at least 2, not 1"),
 ])
 def test_cli_run_bad_config_is_one_line_usage_error(tmp_path, config,
                                                     message):
@@ -249,11 +252,17 @@ def test_cli_run_output_is_byte_identical(tmp_path):
 
 def test_cli_debias(tmp_path):
     xp, yp = _write_problem(tmp_path)
-    res = runner.invoke(cli.main, ["debias", "--X", xp, "--y", yp,
-                                   "--lam", "0.3",
-                                   "--a0", ",".join(["1"] + ["0"] * 7)])
-    assert res.exit_code == 0
-    assert "theta_hat" in json.loads(res.output)["results"]
+    outputs = []
+    for seed in ("1", "7"):
+        res = runner.invoke(cli.main, ["debias", "--X", xp, "--y", yp,
+                                       "--lam", "0.3", "--seed", seed,
+                                       "--a0", ",".join(["1"] + ["0"] * 7)])
+        assert res.exit_code == 0
+        assert "theta_hat" in json.loads(res.output)["results"]
+        outputs.append(res.stdout)
+    # the corrections draw nothing: only the envelope's seed differs
+    assert '"seed": 1' in outputs[0]
+    assert outputs[0].replace('"seed": 1', '"seed": 7') == outputs[1]
 
 
 def test_cli_non_finite_values_are_json_null(tmp_path):
@@ -305,6 +314,13 @@ def test_cli_unconverged_fit_exits_2(tmp_path, monkeypatch):
         assert res.exit_code == 2, args
         assert "duality-gap tolerance" in res.stderr
         assert json.loads(res.stdout)["kind"] == args[0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "debias", "params": {
+        "n": 40, "p": 30, "s0": 2, "reps": 4, "threads": 1}}))
+    res = runner.invoke(cli.main, ["run", "--config", str(cfg)])
+    assert res.exit_code == 2
+    assert "duality-gap tolerance" in res.stderr
+    assert json.loads(res.stdout)["results"]["unconverged"] > 0
 
 
 def test_cli_debias_collinear_selection_is_usage_error(tmp_path):
