@@ -343,8 +343,13 @@ def experiment_sparse_re(reps: int = 400, seed: int = 1, sigma: float = 1.0,
 
 def experiment_mc_divergence(kind: str, seed: int = 1, m_grid=None,
                              n_real: int = 50) -> dict:
-    """Probe-count table for the divergence estimator on a fixed dataset."""
+    """Probe-count table for the divergence estimator on a fixed dataset.
+
+    ``unconverged`` counts the enet coordinate-descent fits, the base fit and
+    those inside the map, that missed the duality-gap tolerance (0 for svt).
+    """
     base = RngStream(seed)
+    unconverged = 0
     if kind == "svt":
         q, n, rank, lam, a = 101, 100, 10, 10.0, 1e-4
         gen = base.child(0).generator()
@@ -365,6 +370,7 @@ def experiment_mc_divergence(kind: str, seed: int = 1, m_grid=None,
         y = x @ beta + gen.standard_normal(n)
         base_fit = solvers.fit_lasso(RegressionProblem(x, y), lam, gamma=gamma)
         df_exact = base_fit.df_hat
+        unconverged = int(not base_fit.converged)
         f = divergence_mc.lasso_fitted_map(x, lam, gamma)
         if m_grid is None:
             m_grid = (10, 40, 160)
@@ -372,13 +378,15 @@ def experiment_mc_divergence(kind: str, seed: int = 1, m_grid=None,
         raise ValueError("kind must be 'svt' or 'enet'")
     rows = divergence_mc.divergence_table(f, y, df_exact, m_grid, n_real,
                                           base.child(1), a=a)
+    unconverged += getattr(f, "unconverged", 0)
     by_m = {r["m"]: r for r in rows}
     ratios = {}
     for m in by_m:
         if 4 * m in by_m and by_m[4 * m]["std"] > 0:
             ratios["%d/%d" % (m, 4 * m)] = by_m[m]["std"] / by_m[4 * m]["std"]
     return {"kind": kind, "df_exact": float(df_exact), "rows": rows,
-            "std_ratios": ratios, "n_real": n_real}
+            "std_ratios": ratios, "n_real": n_real,
+            "unconverged": unconverged}
 
 
 def _debias_rep(args):

@@ -13,6 +13,7 @@ response vectors; it is verified against the scalar solver in the tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -192,6 +193,9 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
     ``lam = 0`` with ``gamma = 0`` falls back to least squares; ``lam = 0``
     with ``gamma > 0`` is plain ridge.  Convergence is declared when the
     duality gap falls below ``tol`` (default 1e-10 * (1 + ||y||^2/n)).
+    A cold start sweeps every column once and then iterates on the nonzero
+    set, as a warm start does; each round ends in the gap check over all p
+    columns and a full sweep that regrows the set.
     """
     x, y = problem.x, problem.y
     n, p = x.shape
@@ -209,29 +213,38 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
         return _finish(x, y, beta, lam, gamma, 0.0, 0, True,
                        df_cols=np.arange(p))
 
-    col_sq = np.einsum("ij,ij->j", x, x)
+    col_sq = np.einsum("ij,ij->j", x, x).tolist()
     beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=float)
     resid = y - x @ beta if beta0 is not None else y.copy()
 
     def sweep(cols):
+        # Python-float soft threshold: equals soft_threshold up to the sign
+        # of a zero, which never reaches beta or the residual
         nonlocal resid
         moved = 0.0
-        for j in cols:
-            if col_sq[j] == 0.0:
+        for j in cols.tolist():
+            csj = col_sq[j]
+            if csj == 0.0:
                 continue
-            bj = beta[j]
-            cj = resid @ x[:, j] + col_sq[j] * bj
-            bn = soft_threshold(cj / n, lam) * n / (col_sq[j] + gamma)
+            xj = x[:, j]
+            bj = beta.item(j)
+            cj = float(resid @ xj) + csj * bj
+            v = cj / n
+            a = abs(v) - lam
+            bn = (math.copysign(a, v) if a > 0.0 else 0.0) * n / (csj + gamma)
             if bn != bj:
-                resid -= (bn - bj) * x[:, j]
+                resid -= (bn - bj) * xj
                 beta[j] = bn
                 moved = max(moved, abs(bn - bj))
         return moved
 
-    gap = np.inf
     it = 0
     full = np.arange(p)
-    active = np.flatnonzero(beta) if beta0 is not None else full
+    if beta0 is None:
+        # cold start: one full sweep, then work on its active set
+        sweep(full)
+        it = 1
+    active = np.flatnonzero(beta)
     if active.size == 0:
         active = full
     while it < max_iter:
@@ -252,6 +265,7 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
             if gap <= tol:
                 return _finish(x, y, beta, lam, gamma, gap, it, True)
             active = full
+    gap = _dual_gap(x, y, beta, resid, lam, gamma)
     return _finish(x, y, beta, lam, gamma, gap, it, False)
 
 

@@ -270,11 +270,11 @@ def test_frozen_refit_kernel_is_bit_identical_to_inlined(gamma):
 
 
 def test_collinear_selection_raises_value_error():
-    # columns 2 and 5 coincide and the l1 fit selects both
+    # column 7 is the mean of columns 2 and 3; the l1 fit selects all three
     gen = np.random.default_rng(3)
     x = gen.standard_normal((30, 8))
-    x[:, 5] = x[:, 2]
-    y = 2 * x[:, 2] + x[:, 0] + gen.standard_normal(30)
+    x[:, 7] = (x[:, 2] + x[:, 3]) / 2
+    y = 2 * x[:, 2] + 2 * x[:, 3] + x[:, 0] + gen.standard_normal(30)
     d = dm.direction_setup(np.eye(8)[0], None, 8)
     with pytest.raises(ValueError, match=r"rank deficient \(rank 6 < 7\)"):
         dm.debias_theta(x, y, 0.1, d)

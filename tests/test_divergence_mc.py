@@ -163,11 +163,11 @@ def test_lasso_map_support_change_falls_back_to_descent(monkeypatch):
 
 
 def test_lasso_map_collinear_support_never_refits(monkeypatch):
-    # columns 2 and 5 coincide and both enter the l1 support
+    # column 7 is the mean of columns 2 and 3; the l1 fit selects all three
     gen = np.random.default_rng(3)
     x = gen.standard_normal((30, 8))
-    x[:, 5] = x[:, 2]
-    y = 2 * x[:, 2] + x[:, 0] + gen.standard_normal(30)
+    x[:, 7] = (x[:, 2] + x[:, 3]) / 2
+    y = 2 * x[:, 2] + 2 * x[:, 3] + x[:, 0] + gen.standard_normal(30)
     fits = _recording(monkeypatch, "fit_lasso")
     refits = _recording(monkeypatch, "certified_refit")
     f = lasso_fitted_map(x, 0.1)

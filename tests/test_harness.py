@@ -323,12 +323,31 @@ def test_cli_unconverged_fit_exits_2(tmp_path, monkeypatch):
     assert json.loads(res.stdout)["results"]["unconverged"] > 0
 
 
+def test_cli_run_unconverged_mc_divergence_exits_2(tmp_path, monkeypatch):
+    cfgs = {}
+    for kind in ("svt", "enet"):
+        cfgs[kind] = tmp_path / ("%s.json" % kind)
+        cfgs[kind].write_text(json.dumps({"kind": "mc_divergence", "params": {
+            "kind": kind, "n_real": 2, "m_grid": [2]}}))
+        res = runner.invoke(cli.main, ["run", "--config", str(cfgs[kind])])
+        assert res.exit_code == 0 and res.stderr == "", kind
+        assert json.loads(res.stdout)["results"]["unconverged"] == 0
+    fit_lasso = cli.solvers.fit_lasso
+    monkeypatch.setattr(cli.solvers, "fit_lasso",
+                        lambda *a, **k: fit_lasso(*a, **k, max_iter=1))
+    res = runner.invoke(cli.main, ["run", "--config", str(cfgs["enet"])])
+    assert res.exit_code == 2
+    assert "duality-gap tolerance" in res.stderr
+    # the base fit and every coordinate-descent fit inside the map
+    assert json.loads(res.stdout)["results"]["unconverged"] > 1
+
+
 def test_cli_debias_collinear_selection_is_usage_error(tmp_path):
-    # columns 2 and 5 coincide and the l1 fit selects both
+    # column 7 is the mean of columns 2 and 3; the l1 fit selects all three
     gen = np.random.default_rng(3)
     x = gen.standard_normal((30, 8))
-    x[:, 5] = x[:, 2]
-    y = 2 * x[:, 2] + x[:, 0] + gen.standard_normal(30)
+    x[:, 7] = (x[:, 2] + x[:, 3]) / 2
+    y = 2 * x[:, 2] + 2 * x[:, 3] + x[:, 0] + gen.standard_normal(30)
     xp, yp = str(tmp_path / "X.csv"), str(tmp_path / "y.csv")
     save_matrix_csv(x, xp)
     save_matrix_csv(y[:, None], yp)

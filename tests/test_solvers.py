@@ -271,9 +271,19 @@ def _duplicated_column_problem():
     return RegressionProblem(x, y)
 
 
+def _l1_tie_problem():
+    # column 7 is the mean of columns 2 and 3, so 2 b x_7 and b (x_2 + x_3)
+    # give the same fit at the same l1 norm
+    g = np.random.default_rng(3)
+    x = g.standard_normal((30, 8))
+    x[:, 7] = (x[:, 2] + x[:, 3]) / 2
+    y = 2 * x[:, 2] + 2 * x[:, 3] + x[:, 0] + g.standard_normal(30)
+    return RegressionProblem(x, y)
+
+
 def test_lasso_df_is_rank_of_selected_columns():
-    # columns 2 and 5 coincide and both enter the support: df = rank(X_S)
-    prob = _duplicated_column_problem()
+    # columns 2, 3 and 7 are dependent and all enter the support: df = rank(X_S)
+    prob = _l1_tie_problem()
     fit = fit_lasso(prob, 0.1)
     assert fit.converged
     np.testing.assert_array_equal(fit.support, [0, 1, 2, 3, 5, 6, 7])
@@ -283,6 +293,74 @@ def test_lasso_df_is_rank_of_selected_columns():
     assert fit.df_hat == fit.trace_grad_sq == 6.0
     with pytest.raises(ValueError, match="rank 6 < 7"):
         lasso_projection(prob.x, fit.support)
+
+
+def _fit_distance_bound(n, gap_a, gap_b):
+    # F(b) - F* >= ||X (b - b*)||^2 / (2n), so two fits whose duality gaps
+    # are gap_a and gap_b have fitted values this close
+    return math.sqrt(2 * n * max(gap_a, 0.0)) + math.sqrt(2 * n * gap_b)
+
+
+def test_duplicated_column_fits_share_fitted_values():
+    # columns 2 and 5 coincide, so beta is not unique but X beta is: a cold
+    # fit and a warm fit that splits the weight over both copies agree on
+    # the fitted values and on df = tr J^2 = rank(X_S)
+    prob = _duplicated_column_problem()
+    cold = fit_lasso(prob, 0.1)
+    assert cold.converged
+    beta0 = cold.beta.copy()
+    beta0[[2, 5]] = (cold.beta[2] + cold.beta[5]) / 2
+    warm = fit_lasso(prob, 0.1, beta0=beta0)
+    assert warm.converged
+    assert {2, 5} <= set(warm.support.tolist())
+    assert np.linalg.norm(cold.mu_hat - warm.mu_hat) <= _fit_distance_bound(
+        prob.n, cold.gap, warm.gap)
+    for fit in (cold, warm):
+        rank = np.linalg.matrix_rank(prob.x[:, fit.support])
+        assert fit.df_hat == fit.trace_grad_sq == rank == 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(30, 8), (40, 60), (80, 40), (200, 300)]),
+       frac=st.floats(0.1, 0.9), gamma=st.sampled_from([0.0, 0.3, 5.0]))
+def test_cold_fit_is_certified_and_matches_batch(seed, shape, frac, gamma):
+    # the active-set cold start is accepted only on the global duality gap
+    n, p = shape
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((n, p))
+    y = x[:, :3] @ gen.standard_normal(3) + gen.standard_normal(n)
+    lam = frac * float(np.max(np.abs(x.T @ y))) / n   # a share of lam_max
+    prob = RegressionProblem(x, y)
+    fit = fit_lasso(prob, lam, gamma=gamma)
+    assert fit.converged and fit.gap <= solvers.default_tol(y)
+    assert check_kkt(prob, lam, fit.beta, gamma=gamma).strict
+    batch = fit_lasso_batch(x, y[None, :], lam, gamma=gamma)[0]
+    np.testing.assert_array_equal(np.flatnonzero(batch), fit.support)
+    # on a common support S, ||X_S d||^2 + gamma ||d||^2 bounds ||d|| through
+    # the smallest singular value of X_S
+    smin = np.linalg.svd(x[:, fit.support], compute_uv=False).min()
+    bound = _fit_distance_bound(n, fit.gap, solvers.default_tol(y))
+    assert (np.linalg.norm(batch - fit.beta)
+            <= bound / math.sqrt(smin ** 2 + gamma))
+
+
+@pytest.mark.parametrize("v, t", [(0.5, 0.5), (-0.5, 0.5), (0.0, 0.3),
+                                  (-0.0, 0.3), (1e-3, 2.0), (-7.25, 1.5)])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sweep_threshold_equals_soft_threshold(v, t, seed):
+    # on X = 2 I (n = 4, so every product and quotient by n or 2 is exact)
+    # one coordinate update is the soft threshold of v = x_j'y / n
+    gen = np.random.default_rng(seed)
+    vs = np.append(gen.uniform(-3, 3, 3) * gen.integers(0, 2, 3), v)
+    lam = t * gen.uniform(0.5, 1.5) if seed % 2 else t
+    expect = soft_threshold(vs, lam)
+    expect[np.abs(expect) <= solvers.HARD_ZERO] = 0.0
+    fit = fit_lasso(RegressionProblem(2.0 * np.eye(4), 2.0 * vs), lam)
+    assert fit.converged
+    np.testing.assert_array_equal(fit.beta, expect)
+    assert not np.signbit(fit.beta[fit.beta == 0.0]).any()
 
 
 @pytest.mark.parametrize("n, p, gamma", [(30, 10, 0.0), (8, 12, 0.0),
