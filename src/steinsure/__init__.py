@@ -12,8 +12,8 @@ experiment harness with serialization (``harness``).
 from .core import (RegressionProblem, RngStream, SequenceModel,
                    chi_square_quantile, gaussian_design,
                    sample_gaussian_vector)
-from .solvers import (FitResult, KktReport, SvtResult, check_kkt,
-                      fit_elastic_net, fit_lasso, fit_lasso_batch,
+from .solvers import (BatchUnconverged, FitResult, KktReport, SvtResult,
+                      check_kkt, fit_elastic_net, fit_lasso, fit_lasso_batch,
                       lasso_projection, soft_threshold, support_spectrum, svt)
 from .stein import (ConfidenceInterval, IdentityReport, SureReport,
                     data_driven_confidence, divergence_variance_bound,

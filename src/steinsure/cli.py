@@ -6,6 +6,7 @@ non-finite input files), 2 when a numerical invariant check fails.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -32,6 +33,17 @@ def _flatten(obj, prefix=""):
     items = sorted(obj.items()) if isinstance(obj, dict) else enumerate(obj)
     return [row for key, value in items for row in _flatten(
         value, "%s.%s" % (prefix, key) if prefix else str(key))]
+
+
+@contextlib.contextmanager
+def _batch_fits():
+    """Exit 2 with UNCONVERGED when a batch l1 fit reaches its sweep cap;
+    the study then has no results to write."""
+    try:
+        yield
+    except solvers.BatchUnconverged:
+        click.echo(UNCONVERGED, err=True)
+        sys.exit(INVARIANT_FAILURE)
 
 
 def _echo_or_write(payload: dict, out: str | None, fmt: str) -> None:
@@ -100,8 +112,9 @@ def main(ctx, threads):
 @with_common
 def sos_verify(n, reps, sigma, seed, out, fmt):
     """Monte Carlo check of the second-order identity on the field corpus."""
-    res = harness.experiment_sos(reps=reps, seed=seed, sigma=sigma,
-                                 n_list=(n,))
+    with _batch_fits():
+        res = harness.experiment_sos(reps=reps, seed=seed, sigma=sigma,
+                                     n_list=(n,))
     payload = harness.results_payload("sos", seed, {"n": n, "reps": reps}, res)
     _echo_or_write(payload, out, fmt)
     for name, row in res["fields"].items():
@@ -269,7 +282,9 @@ def tune(x_path, y_path, lams, sigma, seed, out, fmt):
 @with_common
 def coverage(n, reps, alpha, seed, out, fmt):
     """Replication study of the loss confidence regions."""
-    res = harness.experiment_coverage(n=n, reps=reps, alpha=alpha, seed=seed)
+    with _batch_fits():
+        res = harness.experiment_coverage(n=n, reps=reps, alpha=alpha,
+                                          seed=seed)
     payload = harness.results_payload("coverage", seed,
                                       {"n": n, "reps": reps, "alpha": alpha},
                                       res)
@@ -346,7 +361,8 @@ def run(ctx, config_path, seed, out, fmt):
         raise click.ClickException("bad config: %s" % exc)
     if config.kind == "debias" and "threads" not in config.params:
         config.params["threads"] = ctx.obj.get("threads", 1)
-    payload = harness.run_experiment(config)
+    with _batch_fits():
+        payload = harness.run_experiment(config)
     if out:
         harness.save_results_json(payload, out)
     else:

@@ -213,8 +213,11 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
         return _finish(x, y, beta, lam, gamma, 0.0, 0, True,
                        df_cols=np.arange(p))
 
-    col_sq = np.einsum("ij,ij->j", x, x).tolist()
+    col_sq = np.einsum("ij,ij->j", x, x)
     beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=float)
+    # a zero column's coefficient is 0 at the optimum and no sweep visits it
+    beta[col_sq == 0.0] = 0.0
+    col_sq = col_sq.tolist()
     resid = y - x @ beta if beta0 is not None else y.copy()
 
     def sweep(cols):
@@ -255,8 +258,8 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
             if moved <= 1e-14 * (1.0 + np.max(np.abs(beta))) or it >= max_iter:
                 break
         gap = _dual_gap(x, y, beta, resid, lam, gamma)
-        if gap <= tol:
-            return _finish(x, y, beta, lam, gamma, gap, it, True)
+        if gap <= tol or it >= max_iter:
+            return _finish(x, y, beta, lam, gamma, gap, it, bool(gap <= tol))
         sweep(full)
         it += 1
         active = np.flatnonzero(beta)
@@ -266,7 +269,7 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
                 return _finish(x, y, beta, lam, gamma, gap, it, True)
             active = full
     gap = _dual_gap(x, y, beta, resid, lam, gamma)
-    return _finish(x, y, beta, lam, gamma, gap, it, False)
+    return _finish(x, y, beta, lam, gamma, gap, it, bool(gap <= tol))
 
 
 def fit_elastic_net(problem: RegressionProblem, lam: float, gamma: float,
@@ -275,14 +278,33 @@ def fit_elastic_net(problem: RegressionProblem, lam: float, gamma: float,
     return fit_lasso(problem, lam, gamma=gamma, **kwargs)
 
 
+class BatchUnconverged(RuntimeError):
+    """:func:`fit_lasso_batch` reached ``max_iter`` sweeps with rows whose
+    duality gap is still above tolerance."""
+
+    def __init__(self, unconverged: int, n_iter: int):
+        super().__init__("batch coordinate descent left %d replications "
+                         "unconverged after %d sweeps" % (unconverged, n_iter))
+        self.unconverged = unconverged
+        self.n_iter = n_iter
+
+
 def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
                     gamma: float = 0.0, max_iter: int = 2000,
                     tol: float | None = None,
                     betas0: np.ndarray | None = None) -> np.ndarray:
     """Solve many l1 problems sharing one design; returns the (R, p) betas.
 
-    Same objective and stopping rule as :func:`fit_lasso`, vectorized across
-    the rows of ``ys``.  Pure performance path for replication studies.
+    Same objective, gap tolerance and working-set rule as :func:`fit_lasso`,
+    vectorized across the rows of ``ys``: a cold start sweeps every column
+    once; each round then sweeps the union of the live rows' nonzero
+    columns until no coefficient moves (at most 10 sweeps a round, where
+    :func:`fit_lasso` allows 50), checks every live row's duality gap, drops
+    the rows that pass, and regrows the set with one full sweep.  A column
+    update touches only the rows whose coefficient moved.  ``max_iter``
+    caps the sweeps; rows still above tolerance then raise
+    :class:`BatchUnconverged`.  Pure performance path for replication
+    studies.
     """
     x = np.asarray(x, dtype=float)
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
@@ -290,10 +312,14 @@ def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
     nrep = ys.shape[0]
     if lam <= 0:
         raise ValueError("batch path requires lam > 0")
+    xt = np.ascontiguousarray(x.T)
     col_sq = np.einsum("ij,ij->j", x, x)
     tols = default_tol(ys) if tol is None else np.full(nrep, tol)
 
     betas = np.zeros((nrep, p)) if betas0 is None else np.array(betas0, dtype=float)
+    # a zero column's coefficient is 0 at the optimum and no sweep visits it
+    betas[:, col_sq == 0.0] = 0.0
+    col_sq = col_sq.tolist()
     # live working copies are compacted as replications converge
     bl = betas.copy()
     rl = ys - bl @ x.T if betas0 is not None else ys.copy()
@@ -301,24 +327,36 @@ def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
     tl = tols.copy()
     idx = np.arange(nrep)
 
-    for outer in range(max_iter // 10 + 1):
-        if idx.size == 0:
-            break
-        cols = (np.arange(p) if outer % 3 == 0
-                else np.flatnonzero(np.any(bl != 0.0, axis=0)))
-        if cols.size == 0:
-            cols = np.arange(p)
-        for _ in range(10):
-            for j in cols:
-                if col_sq[j] == 0.0:
-                    continue
-                bj = bl[:, j]
-                cj = rl @ x[:, j] + col_sq[j] * bj
-                bn = soft_threshold(cj / n, lam) * n / (col_sq[j] + gamma)
-                delta = bn - bj
-                if np.any(delta != 0.0):
-                    rl -= np.outer(delta, x[:, j])
-                    bl[:, j] = bn
+    def sweep(cols):
+        for j in cols:
+            csj = col_sq[j]
+            if csj == 0.0:
+                continue
+            xj = xt[j]
+            bj = bl[:, j]
+            cj = rl @ xj + csj * bj
+            bn = soft_threshold(cj / n, lam) * n / (csj + gamma)
+            delta = bn - bj
+            nz = delta.nonzero()[0]
+            if nz.size:
+                # subtracting zero leaves a row as it was, so skip those rows
+                rl[nz] -= delta[nz, None] * xj
+                bl[:, j] = bn
+
+    full = list(range(p))
+    it = 0
+    if betas0 is None:
+        sweep(full)
+        it = 1
+    while idx.size:
+        active = np.flatnonzero(np.any(bl != 0.0, axis=0)).tolist() or full
+        for _ in range(min(10, max_iter - it)):
+            before = bl[:, active]
+            sweep(active)
+            it += 1
+            moved = np.max(np.abs(bl[:, active] - before))
+            if moved <= 1e-14 * (1.0 + np.max(np.abs(bl))):
+                break
         # batched duality gap on the still-live replications
         corr = (rl @ x - gamma * bl) / n
         cmax = np.max(np.abs(corr), axis=1)
@@ -331,9 +369,12 @@ def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
             betas[idx[done]] = bl[done]
             keep = ~done
             bl, rl, yl, tl, idx = bl[keep], rl[keep], yl[keep], tl[keep], idx[keep]
+        if not idx.size or it >= max_iter:
+            break
+        sweep(full)
+        it += 1
     if idx.size:
-        raise RuntimeError("batch coordinate descent left %d replications "
-                           "unconverged" % idx.size)
+        raise BatchUnconverged(idx.size, it)
     betas[np.abs(betas) <= HARD_ZERO] = 0.0
     return betas
 

@@ -342,6 +342,35 @@ def test_cli_run_unconverged_mc_divergence_exits_2(tmp_path, monkeypatch):
     assert json.loads(res.stdout)["results"]["unconverged"] > 1
 
 
+def test_cli_capped_batch_fit_exits_2(tmp_path, monkeypatch):
+    cfg = tmp_path / "selection.json"
+    cfg.write_text(json.dumps({"kind": "selection", "params": {
+        "n": 50, "p": 75, "reps": 20}}))
+    runs = (["run", "--config", str(cfg)],
+            ["coverage", "--n", "120", "--reps", "4"],
+            ["sos-verify", "--n", "10", "--reps", "20"])
+    res = runner.invoke(cli.main, runs[0])
+    assert res.exit_code == 0 and res.stderr == ""
+    fit_batch = cli.solvers.fit_lasso_batch
+    monkeypatch.setattr(cli.solvers, "fit_lasso_batch",
+                        lambda *a, **k: fit_batch(*a, **k, max_iter=1))
+    for args in runs:
+        res = runner.invoke(cli.main, args)
+        assert res.exit_code == 2, args
+        assert isinstance(res.exception, SystemExit)
+        assert res.stderr.strip() == ("solver did not reach the "
+                                      "duality-gap tolerance")
+        assert res.stdout == ""
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("not a sweep cap")
+    # only the sweep cap is an exit 2; any other RuntimeError propagates
+    monkeypatch.setattr(cli.solvers, "fit_lasso_batch", fail)
+    res = runner.invoke(cli.main, runs[0])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, RuntimeError)
+
+
 def test_cli_debias_collinear_selection_is_usage_error(tmp_path):
     # column 7 is the mean of columns 2 and 3; the l1 fit selects all three
     gen = np.random.default_rng(3)

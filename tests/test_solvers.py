@@ -158,6 +158,84 @@ def test_batch_requires_positive_lam():
         fit_lasso_batch(np.eye(3), np.ones((1, 3)), 0.0)
 
 
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 60),
+       p=st.integers(5, 80), gamma=st.sampled_from([0.0, 0.3]),
+       near=st.lists(st.floats(0.85, 0.97) | st.floats(1.03, 1.15),
+                     min_size=1, max_size=3),
+       dense=st.integers(1, 3),
+       warm=st.sampled_from(["cold", "converged", "perturbed"]))
+def test_batch_mixed_rows_equal_scalar_fits(seed, n, p, gamma, near, dense,
+                                            warm):
+    # rows that finish in different rounds share one call: an all-zero
+    # response, rows whose lam_max sits near lam and dense rows at
+    # lam = 0.1 lam_max, on a design with an all-zero column
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((n, p))
+    zero_col = int(gen.integers(p))
+    x[:, zero_col] = 0.0
+    base = x[:, :3] @ gen.standard_normal(min(3, p)) \
+        + gen.standard_normal((len(near) + dense, n))
+    lam_max = np.max(np.abs(base @ x), axis=1) / n
+    lam = 0.1 * float(lam_max[0])
+    fracs = np.array(list(near) + [0.1] * dense)
+    ys = np.vstack([np.zeros(n), base * (lam / (fracs * lam_max))[:, None]])
+    betas0 = None
+    if warm != "cold":
+        betas0 = fit_lasso_batch(x, ys, lam, gamma=gamma)
+        if warm == "perturbed":
+            betas0 = betas0 + 0.1 * gen.standard_normal(betas0.shape)
+    betas = fit_lasso_batch(x, ys, lam, gamma=gamma, betas0=betas0)
+    assert np.all(betas[:, zero_col] == 0.0)
+    assert np.all(betas[0] == 0.0)
+    for y, beta in zip(ys, betas):
+        prob = RegressionProblem(x, y)
+        np.testing.assert_allclose(
+            beta, fit_lasso(prob, lam, gamma=gamma).beta, rtol=0, atol=1e-6)
+        assert check_kkt(prob, lam, beta, gamma=gamma).strict
+
+
+def _capped_problem():
+    gen = np.random.default_rng(11)
+    x = gen.standard_normal((50, 80))
+    ys = x[:, :5] @ np.ones(5) + gen.standard_normal((3, 50))
+    lam = 0.1 * float(np.max(np.abs(ys[0] @ x))) / 50
+    return x, ys, lam
+
+
+def test_fit_lasso_stops_at_max_iter():
+    x, ys, lam = _capped_problem()
+    prob = RegressionProblem(x, ys[0])
+    warm = fit_lasso(prob, 3.0 * lam).beta
+    for beta0 in (None, warm):
+        for max_iter in (1, 2, 3):
+            fit = fit_lasso(prob, lam, beta0=beta0, max_iter=max_iter)
+            assert fit.n_iter <= max_iter
+            assert not fit.converged
+            resid = prob.y - x @ fit.beta
+            assert fit.gap == pytest.approx(
+                solvers._dual_gap(x, prob.y, fit.beta, resid, lam, 0.0),
+                rel=1e-9)
+
+
+def test_batch_sweeps_stop_at_max_iter():
+    # max_iter counts sweeps, the regrowing full sweep included: a cold call
+    # makes sweep 1 full, 2-11 on the working set and 12 full again; both
+    # starts need over 50 sweeps here
+    x, ys, lam = _capped_problem()
+    ref = fit_lasso_batch(x, ys, lam)
+    gen = np.random.default_rng(12)
+    for betas0 in (None, ref + 0.1 * gen.standard_normal(ref.shape)):
+        for max_iter in (1, 2, 3, 11, 12, 13):
+            with pytest.raises(solvers.BatchUnconverged) as info:
+                fit_lasso_batch(x, ys, lam, max_iter=max_iter, betas0=betas0)
+            assert isinstance(info.value, RuntimeError)
+            assert info.value.n_iter == max_iter
+            assert 1 <= info.value.unconverged <= ys.shape[0]
+        np.testing.assert_allclose(fit_lasso_batch(x, ys, lam, betas0=betas0),
+                                   ref, rtol=0, atol=1e-6)
+
+
 def test_objective_optimality_probe():
     # random perturbations never improve the converged objective
     prob = _problem(8)
