@@ -9,18 +9,18 @@ its adversarial pair (``selection``), Monte Carlo divergences
 experiment harness with serialization (``harness``).
 """
 
-from .core import (RegressionProblem, RngStream, SequenceModel,
-                   chi_square_quantile, gaussian_design,
-                   sample_gaussian_vector)
+from .core import (RegressionProblem, RngStream, chi_square_quantile,
+                   gaussian_design)
 from .solvers import (BatchUnconverged, FitResult, KktReport, SvtResult,
                       check_kkt, fit_elastic_net, fit_lasso, fit_lasso_batch,
-                      lasso_projection, soft_threshold, support_spectrum, svt)
+                      lasso_projection, soft_threshold, support_spectrum, svt,
+                      svt_jacobian_eigenvalues)
 from .stein import (ConfidenceInterval, IdentityReport, SureReport,
                     data_driven_confidence, divergence_variance_bound,
                     loss_confidence_region, model_size_ci,
                     model_size_variance_bound, sure, sure_diff,
                     sure_for_sure, sure_from_fit, verify_sos_identity)
-from .selection import (CandidateSet, adversarial_pair, max_gap_bound,
+from .selection import (adversarial_pair, max_gap_bound,
                         selection_gap_bound, squared_risk_gap_bound,
                         sure_tune)
 from .divergence_mc import DivergenceEstimate, mc_divergence

@@ -194,17 +194,14 @@ _fit_command("sure4sure", 0.0, _sure4sure_summary,
 @click.option("--lam", type=float, required=True)
 @with_common
 def svt_df(x_path, lam, seed, out, fmt):
-    """Singular value thresholding and its exact divergence."""
+    """Singular value thresholding: its exact divergence and tr J^2."""
     y = _load_matrix(x_path)
     res = solvers.svt(y, lam)
     payload = harness.results_payload("svt_df", seed, {"lam": lam}, {
         "df_exact": res.df_exact, "degenerate": res.degenerate,
-        "shape": list(y.shape),
+        "shape": list(y.shape), "trace_grad_sq": res.trace_grad_sq,
     })
     _echo_or_write(payload, out, fmt)
-    if res.degenerate:
-        click.echo("warning: near-equal singular values; their cross terms "
-                   "use the tied-pair limit", err=True)
 
 
 @main.command("mc-div")

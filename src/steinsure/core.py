@@ -1,5 +1,5 @@
-"""Shared numerical infrastructure: reproducible streams, data containers,
-Gaussian sampling, and the chi-square CDF and quantile.
+"""Shared numerical infrastructure: reproducible streams, the regression
+data container, Gaussian designs, and the chi-square CDF and quantile.
 
 Random numbers are produced by counter-based Philox generators keyed by a
 ``(seed, stream_id)`` pair, so any replication can be regenerated in
@@ -8,7 +8,7 @@ isolation without advancing global state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammainc, gammaincinv
@@ -35,15 +35,6 @@ class RngStream:
     def child(self, offset: int) -> "RngStream":
         """Derive a sub-stream; ``offset`` shifts the stream id."""
         return RngStream(self.seed, self.stream_id + offset)
-
-
-def sample_gaussian_vector(stream: RngStream, n: int, sigma: float = 1.0) -> np.ndarray:
-    """Draw an n-vector with independent N(0, sigma^2) entries."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    if sigma < 0:
-        raise ValueError("sigma must be nonnegative")
-    return sigma * stream.generator().standard_normal(n)
 
 
 def gaussian_design(stream: RngStream, n: int, p: int,
@@ -96,32 +87,6 @@ class RegressionProblem:
     @property
     def p(self) -> int:
         return self.x.shape[1]
-
-
-@dataclass
-class SequenceModel:
-    """Direct observation model y = mu + noise, with known noise level."""
-
-    y: np.ndarray
-    sigma: float = 1.0
-    mu: np.ndarray | None = field(default=None)
-
-    def __post_init__(self):
-        self.y = np.asarray(self.y, dtype=float).ravel()
-        if self.mu is not None:
-            self.mu = np.asarray(self.mu, dtype=float).ravel()
-            if self.mu.shape != self.y.shape:
-                raise ValueError("mu and y must have equal length")
-            if not np.isfinite(self.mu).all():
-                raise ValueError("mu must be finite")
-        if not np.isfinite(self.y).all():
-            raise ValueError("y must be finite")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
 
 
 def chi_square_cdf(df: float, x) -> np.ndarray | float:

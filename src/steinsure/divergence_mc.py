@@ -121,9 +121,13 @@ def lasso_fitted_map(x: np.ndarray, lam: float, gamma: float = 0.0):
 
 
 def svt_map(lam: float):
-    """Matrix denoiser Y -> singular-value-thresholded Y."""
+    """Matrix denoiser Y -> singular-value-thresholded Y.
+
+    The same matrix as ``solvers.svt(Y, lam).matrix``, without the
+    divergence that a probe does not need.
+    """
     def mapped(y_matrix):
-        return solvers.svt(y_matrix, lam).matrix
+        return solvers._svt_shrink(y_matrix, lam)[0]
     return mapped
 
 

@@ -70,21 +70,6 @@ def save_matrix_csv(matrix: np.ndarray, path: str) -> None:
             handle.write(",".join("%.17g" % v for v in row) + "\n")
 
 
-def emit_table_csv(rows: list[dict], path: str) -> None:
-    """Write a list of homogeneous dict rows as CSV, full precision."""
-    if not rows:
-        raise ValueError("no rows to write")
-    keys = list(rows[0].keys())
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(keys) + "\n")
-        for row in rows:
-            cells = []
-            for k in keys:
-                v = row[k]
-                cells.append("%.17g" % v if isinstance(v, float) else str(v))
-            handle.write(",".join(cells) + "\n")
-
-
 def _jsonable(obj):
     """Plain JSON types; NaN and infinities become None (JSON null)."""
     if isinstance(obj, dict):
@@ -239,17 +224,16 @@ def experiment_coverage(n: int = 500, p: int = 100, s0: int = 3,
     rep, loss, _ = _lasso_replications(
         x, mu, lam, sigma, _responses(mu, sigma, reps, base.child(1)))
     sure = rep.sure
-    v_two = stein.symmetric_deviation_quantile(n, alpha)
-    v_up = stein.lower_deviation_quantile(n, alpha)
-    half_two = sigma**2 * v_two * math.sqrt(2.0 * n)
-    half_up = sigma**2 * v_up * math.sqrt(2.0 * n)
-    cover_two = float(np.mean(
-        (loss >= np.maximum(sure - half_two, 0.0)) & (loss <= sure + half_two)))
-    cover_up = float(np.mean(loss <= sure + half_up))
+
+    def coverage(kind):
+        region = stein.loss_confidence_region(sure, sigma, n, alpha, kind=kind)
+        return float(np.mean(region.contains(loss)))
     return {
         "n": n, "p": p, "s0": s0, "alpha": alpha, "reps": reps,
-        "v_two_sided": v_two, "v_one_sided": v_up,
-        "coverage_two_sided": cover_two, "coverage_one_sided": cover_up,
+        "v_two_sided": stein.symmetric_deviation_quantile(n, alpha),
+        "v_one_sided": stein.lower_deviation_quantile(n, alpha),
+        "coverage_two_sided": coverage("two_sided"),
+        "coverage_one_sided": coverage("upper"),
         "gamma_n": float(np.mean(sure / (n * sigma**2) + rep.df_hat / n)),
     }
 

@@ -8,7 +8,6 @@ shows the n^{1/4} term in those bounds is not an artifact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,26 +15,9 @@ from .core import RngStream
 from . import stein
 
 
-@dataclass
-class CandidateSet:
-    """Risk estimates for m candidate estimators (one value per candidate)."""
-
-    sure_values: np.ndarray
-
-    def __post_init__(self):
-        self.sure_values = np.asarray(self.sure_values, dtype=float).ravel()
-        if self.sure_values.size == 0:
-            raise ValueError("candidate set must be nonempty")
-
-    @property
-    def m(self) -> int:
-        return int(self.sure_values.size)
-
-
 def sure_tune(candidates) -> int:
     """Index of the smallest risk estimate; ties go to the lowest index."""
-    values = (candidates.sure_values if isinstance(candidates, CandidateSet)
-              else np.asarray(candidates, dtype=float).ravel())
+    values = np.asarray(candidates, dtype=float).ravel()
     if values.size == 0:
         raise ValueError("cannot tune over an empty candidate set")
     return int(np.argmin(values))

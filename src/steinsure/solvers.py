@@ -67,7 +67,8 @@ class KktReport(NamedTuple):
 class SvtResult(NamedTuple):
     matrix: np.ndarray
     df_exact: float
-    degenerate: bool
+    degenerate: bool          # two singular values within 1e-12 s_1
+    trace_grad_sq: float
 
 
 def _dual_gap(x, y, beta, resid, lam, gamma):
@@ -422,45 +423,60 @@ def lasso_projection(x: np.ndarray, support: np.ndarray) -> np.ndarray:
     return basis @ basis.T
 
 
-def svt(y_matrix: np.ndarray, lam: float) -> SvtResult:
-    """Singular value soft thresholding with its exact divergence.
+def svt_jacobian_eigenvalues(s, q: int, n: int, lam: float) -> np.ndarray:
+    """The q n eigenvalues of the Jacobian of singular value thresholding.
 
-    For a q-by-n matrix with singular values s_1 >= s_2 >= ..., the
-    divergence of the thresholded map is
+    SVT is the prox of lam times the nuclear norm, so its Jacobian at a q-by-n
+    matrix with singular values s_1, ..., s_k (k = min(q, n)) is symmetric.
+    With g(s) = (s - lam)_+ its eigenvalues are (Candes, Sing-Long & Trzasko
+    2013, IEEE TSP 61(19))
 
-        sum_i [ 1{s_i > lam} + |q - n| (1 - lam/s_i)_+ ]
-        + 2 sum_{i != j} s_i (s_i - lam)_+ / (s_i^2 - s_j^2).
+        g'(s_i) = 1{s_i > lam}                     once for each i,
+        g(s_i) / s_i                               |q - n| times for each i,
+        (g(s_i) + g(s_j)) / (s_i + s_j)            once for each pair i < j,
+        (g(s_i) - g(s_j)) / (s_i - s_j)            once for each pair i < j.
 
-    Pairs whose singular values differ by less than 1e-12 * s_1 are flagged
-    as degenerate.  Each such pair's two cross terms are replaced by their
-    limit as the values meet, (2s - lam) / (2s) for s > lam and 0 otherwise
-    (Candes, Sing-Long & Trzasko 2013), which keeps the divergence exact at
-    tied singular values.
+    The last is taken in closed form: 1 when both values exceed lam, 0 when
+    neither does and (s_hi - lam) / (s_hi - s_lo) when they straddle it, so
+    it has no cancellation and a tie needs no special case.  At lam = 0 the
+    map is the identity and every eigenvalue is 1.
     """
+    if lam == 0.0:
+        return np.ones(q * n)
+    s = np.asarray(s, dtype=float)
+    g = np.maximum(s - lam, 0.0)
+    own = g / np.where(s > 0.0, s, 1.0)
+    i, j = np.triu_indices(s.size, 1)
+    hi, lo = np.maximum(s[i], s[j]), np.minimum(s[i], s[j])
+    total = hi + lo
+    plus = (g[i] + g[j]) / np.where(total > 0.0, total, 1.0)
+    minus = np.where(lo > lam, 1.0,
+                     np.maximum(hi - lam, 0.0) / np.where(hi > lo, hi - lo, 1.0))
+    return np.concatenate([(s > lam).astype(float), np.repeat(own, abs(q - n)),
+                           plus, minus])
+
+
+def _svt_shrink(y_matrix, lam: float):
+    """(thresholded matrix, singular values) of a validated input matrix."""
     y_matrix = np.asarray(y_matrix, dtype=float)
     if y_matrix.ndim != 2:
         raise ValueError("input must be a matrix")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    q, n = y_matrix.shape
     u, s, vt = np.linalg.svd(y_matrix, full_matrices=False)
-    shrunk = np.maximum(s - lam, 0.0)
-    out = (u * shrunk) @ vt
+    return (u * np.maximum(s - lam, 0.0)) @ vt, s
 
-    smax = s[0] if s.size else 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(s > 0, lam / np.where(s > 0, s, 1.0), np.inf)
-    own = np.sum((s > lam).astype(float) + abs(q - n) * np.maximum(1.0 - ratio, 0.0))
 
-    s2 = s * s
-    diff = s2[:, None] - s2[None, :]
-    off = ~np.eye(s.size, dtype=bool)
-    close = off & (np.abs(s[:, None] - s[None, :]) < 1e-12 * max(smax, 1.0e-300))
-    mask = off & ~close
-    degenerate = bool(np.any(close))
-    num = (s * shrunk)[:, None] * np.ones_like(diff)
-    # half the paired limit (2s - lam) / (2s) per term of a tied pair
-    tied = np.where(s > lam, 0.5 - 0.25 * ratio, 0.0)[:, None]
-    cross = 2.0 * float(np.sum(np.where(mask, num / np.where(mask, diff, 1.0),
-                                        np.where(close, tied, 0.0))))
-    return SvtResult(out, float(own + cross), degenerate)
+def svt(y_matrix: np.ndarray, lam: float) -> SvtResult:
+    """Singular value soft thresholding with its exact divergence and tr J^2.
+
+    Both are read off :func:`svt_jacobian_eigenvalues`: ``df_exact`` is the
+    sum of the eigenvalues and ``trace_grad_sq`` the sum of their squares.
+    ``degenerate`` flags two singular values within 1e-12 * s_1 of each
+    other; it is informational and feeds no formula.
+    """
+    out, s = _svt_shrink(y_matrix, lam)
+    eig = svt_jacobian_eigenvalues(s, *out.shape, lam)
+    degenerate = bool(np.any(s[:-1] - s[1:]
+                             < 1e-12 * max(s[0] if s.size else 0.0, 1.0e-300)))
+    return SvtResult(out, float(np.sum(eig)), degenerate, float(eig @ eig))

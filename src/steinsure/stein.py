@@ -369,8 +369,9 @@ class ConfidenceInterval:
     level: float
     kind: str
 
-    def contains(self, value: float) -> bool:
-        return self.lower <= value <= self.upper
+    def contains(self, value):
+        """Whether ``value`` lies in the region, elementwise for arrays."""
+        return (self.lower <= value) & (value <= self.upper)
 
 
 def symmetric_deviation_quantile(n: int, alpha: float) -> float:
@@ -399,12 +400,13 @@ def lower_deviation_quantile(n: int, alpha: float) -> float:
     return (n - q) / math.sqrt(2.0 * n)
 
 
-def loss_confidence_region(sure_value: float, sigma: float, n: int,
+def loss_confidence_region(sure_value, sigma: float, n: int,
                            alpha: float, eps_n: float = 0.0,
                            kind: str = "two_sided") -> ConfidenceInterval:
     """Confidence region for the realized loss ||mu_hat - mu||^2.
 
-    ``eps_n = 0`` is the asymptotic regime (no estimator-dependent slack);
+    ``sure_value`` may be an array of SURE values, one per replication; the
+    bounds then take its shape.  ``eps_n = 0`` is the asymptotic regime (no estimator-dependent slack);
     otherwise the slack enters through v0 = eps_n ** (1/4) and the nominal
     level holds up to an additional sqrt(eps_n) term.
     """
@@ -414,7 +416,7 @@ def loss_confidence_region(sure_value: float, sigma: float, n: int,
     root2n = math.sqrt(2.0 * n)
     if kind == "two_sided":
         half = sigma**2 * (symmetric_deviation_quantile(n, alpha) + v0) * root2n
-        return ConfidenceInterval(max(sure_value - half, 0.0),
+        return ConfidenceInterval(np.maximum(sure_value - half, 0.0),
                                   sure_value + half, 1.0 - alpha, kind)
     if kind == "upper":
         half = sigma**2 * (lower_deviation_quantile(n, alpha) + v0) * root2n

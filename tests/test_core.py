@@ -3,21 +3,24 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
-from steinsure.core import (RegressionProblem, RngStream, SequenceModel,
-                            chi_square_cdf, chi_square_quantile,
-                            gaussian_design, sample_gaussian_vector)
+from steinsure.core import (RegressionProblem, RngStream, chi_square_cdf,
+                            chi_square_quantile, gaussian_design)
+
+
+def _draw(stream, n):
+    return stream.generator().standard_normal(n)
 
 
 def test_stream_reproducible():
-    a = sample_gaussian_vector(RngStream(7, 3), 100)
-    b = sample_gaussian_vector(RngStream(7, 3), 100)
+    a = _draw(RngStream(7, 3), 100)
+    b = _draw(RngStream(7, 3), 100)
     assert np.array_equal(a, b)
 
 
 def test_streams_differ_by_id_and_seed():
-    a = sample_gaussian_vector(RngStream(7, 0), 50)
-    b = sample_gaussian_vector(RngStream(7, 1), 50)
-    c = sample_gaussian_vector(RngStream(8, 0), 50)
+    a = _draw(RngStream(7, 0), 50)
+    b = _draw(RngStream(7, 1), 50)
+    c = _draw(RngStream(8, 0), 50)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
@@ -25,19 +28,6 @@ def test_streams_differ_by_id_and_seed():
 def test_child_offsets():
     s = RngStream(5, 10)
     assert s.child(4) == RngStream(5, 14)
-
-
-def test_sample_moments():
-    x = sample_gaussian_vector(RngStream(1), 200000, sigma=2.0)
-    assert abs(np.mean(x)) < 0.02
-    assert abs(np.std(x) - 2.0) < 0.02
-
-
-def test_sample_validation():
-    with pytest.raises(ValueError):
-        sample_gaussian_vector(RngStream(1), 0)
-    with pytest.raises(ValueError):
-        sample_gaussian_vector(RngStream(1), 5, sigma=-1.0)
 
 
 def test_gaussian_design_covariance():
@@ -69,17 +59,6 @@ def test_non_finite_input_rejected(bad):
         RegressionProblem(np.ones((3, 2)), y)
     with pytest.raises(ValueError, match="finite"):
         RegressionProblem(x, np.ones(3))
-    with pytest.raises(ValueError, match="finite"):
-        SequenceModel(y)
-    with pytest.raises(ValueError, match="finite"):
-        SequenceModel(np.ones(3), mu=y)
-
-
-def test_sequence_model():
-    m = SequenceModel(np.arange(4.0), sigma=2.0, mu=np.zeros(4))
-    assert m.n == 4
-    with pytest.raises(ValueError):
-        SequenceModel(np.arange(4.0), mu=np.zeros(3))
 
 
 # the quantile routine is bespoke bisection; scipy is the independent oracle

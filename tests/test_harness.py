@@ -7,11 +7,10 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from steinsure import cli, harness
-from steinsure.harness import (ExperimentConfig, emit_table_csv,
-                               load_matrix_csv, results_payload,
-                               run_experiment, save_matrix_csv,
-                               save_results_json)
+from steinsure import cli, harness, solvers
+from steinsure.harness import (ExperimentConfig, load_matrix_csv,
+                               results_payload, run_experiment,
+                               save_matrix_csv, save_results_json)
 
 
 # --------------------------------------------------------------------- io
@@ -61,15 +60,6 @@ def test_matrix_csv_empty(tmp_path):
     path.write_text("\n\n")
     with pytest.raises(ValueError, match="empty"):
         load_matrix_csv(str(path))
-
-
-def test_emit_table_csv(tmp_path):
-    rows = [{"m": 5, "mean": 1.0 / 3.0}, {"m": 20, "mean": 2.0 / 7.0}]
-    path = str(tmp_path / "t.csv")
-    emit_table_csv(rows, path)
-    text = open(path).read().splitlines()
-    assert text[0] == "m,mean"
-    assert float(text[1].split(",")[1]) == 1.0 / 3.0
 
 
 def test_results_payload_schema():
@@ -181,6 +171,11 @@ def test_cli_svt_and_mc_div(tmp_path):
     save_matrix_csv(gen.standard_normal((6, 5)), mp)
     res = runner.invoke(cli.main, ["svt-df", "--X", mp, "--lam", "1.0"])
     assert res.exit_code == 0
+    lib = solvers.svt(load_matrix_csv(mp), 1.0)
+    results = json.loads(res.output)["results"]
+    assert (results["df_exact"], results["trace_grad_sq"],
+            results["degenerate"]) == (lib.df_exact, lib.trace_grad_sq,
+                                       lib.degenerate)
     res2 = runner.invoke(cli.main, ["mc-div", "--map", "svt", "--X", mp,
                                     "--lam", "1.0", "--m", "50"])
     assert res2.exit_code == 0

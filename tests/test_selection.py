@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinsure.core import RngStream
-from steinsure.selection import (CandidateSet, TriangleWaveEstimator,
+from steinsure.selection import (TriangleWaveEstimator,
                                  ZeroEstimator, adversarial_gap_experiment,
                                  adversarial_pair, max_gap_bound,
                                  selection_gap_bound, squared_risk_gap_bound,
@@ -21,12 +21,7 @@ def test_sure_tune_tie_goes_low():
     assert sure_tune(np.array([0.0, 0.0])) == 0
 
 
-def test_sure_tune_candidate_set():
-    cs = CandidateSet(np.array([9.0, 1.5, 2.0]))
-    assert cs.m == 3
-    assert sure_tune(cs) == 1
-    with pytest.raises(ValueError):
-        CandidateSet(np.array([]))
+def test_sure_tune_rejects_empty():
     with pytest.raises(ValueError):
         sure_tune([])
 

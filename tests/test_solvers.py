@@ -8,7 +8,7 @@ from steinsure.core import RegressionProblem, RngStream
 from steinsure import solvers
 from steinsure.solvers import (check_kkt, fit_elastic_net, fit_lasso,
                                fit_lasso_batch, lasso_projection,
-                               soft_threshold, svt)
+                               soft_threshold, svt, svt_jacobian_eigenvalues)
 
 
 def _problem(seed, n=40, p=60, s0=3, amp=1.0):
@@ -280,9 +280,11 @@ def test_svt_diagonal_example():
 def test_svt_lam_zero_is_identity():
     gen = np.random.default_rng(10)
     y = gen.standard_normal((5, 8))
-    res = svt(y, 0.0)
-    np.testing.assert_allclose(res.matrix, y, atol=1e-10)
-    assert res.df_exact == pytest.approx(40.0, rel=1e-9)
+    rank_one = np.outer(gen.standard_normal(5), gen.standard_normal(5))
+    for y in (y, np.zeros((3, 4)), rank_one):
+        res = svt(y, 0.0)
+        np.testing.assert_allclose(res.matrix, y, atol=1e-10)
+        assert res.df_exact == pytest.approx(y.size, rel=1e-9)
 
 
 def test_svt_divergence_matches_finite_differences():
@@ -319,6 +321,63 @@ def test_svt_divergence_exact_at_ties(spectrum):
         div += (svt(y + step, lam).matrix[idx]
                 - svt(y - step, lam).matrix[idx]) / (2.0 * a)
     assert base.df_exact == pytest.approx(div, abs=1e-6)
+
+
+def _svt_jacobian_fd(y, lam, a):
+    """Central-difference Jacobian of vec(svt) with respect to vec(y)."""
+    jac = np.empty((y.size, y.size))
+    for col, idx in enumerate(np.ndindex(y.shape)):
+        step = np.zeros_like(y)
+        step[idx] = a
+        jac[:, col] = (svt(y + step, lam).matrix
+                       - svt(y - step, lam).matrix).ravel() / (2.0 * a)
+    return jac
+
+
+def test_svt_divergence_exact_near_ties():
+    # singular values 1e-9 apart: a cross-term sum s_i g_i / (s_i^2 - s_j^2)
+    # loses about 7 digits to cancellation here (4.6e-8 off); the closed-form
+    # divided difference does not
+    gen = np.random.default_rng(13)
+    u = np.linalg.qr(gen.standard_normal((6, 5)))[0]
+    v = np.linalg.qr(gen.standard_normal((5, 5)))[0]
+    y = (u * np.array([3.0, 2.0 + 1e-9, 2.0, 1.0, 0.2])) @ v.T
+    fd = np.trace(_svt_jacobian_fd(y, 0.5, 1e-5))
+    assert svt(y, 0.5).df_exact == pytest.approx(fd, abs=1e-8)
+
+
+@st.composite
+def _svt_case(draw):
+    """(matrix, lam): q and n in 1..5, an exact tie, a 1e-9 tie or none,
+    and for lam > 0 no singular value within 1e-3 of lam, where the map has
+    a kink (lam = 0 is the identity map, zero singular values included)."""
+    q, n = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    lam = draw(st.one_of(st.just(0.0), st.floats(0.1, 2.0)))
+    away = st.floats(0.0, 4.0).filter(
+        lambda s: lam == 0.0 or abs(s - lam) >= 1e-3)
+    spectrum = draw(st.lists(away, min_size=min(q, n), max_size=min(q, n)))
+    gap = draw(st.sampled_from([None, 0.0, 1e-9]))
+    if gap is not None and len(spectrum) >= 2:
+        spectrum[1] = spectrum[0] + gap
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = np.linalg.qr(gen.standard_normal((q, q)))[0][:, :len(spectrum)]
+    v = np.linalg.qr(gen.standard_normal((n, n)))[0][:, :len(spectrum)]
+    return (u * np.array(spectrum)) @ v.T, lam
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_svt_case())
+def test_svt_jacobian_eigenvalues_match_finite_differences(case):
+    y, lam = case
+    res = svt(y, lam)
+    eig = svt_jacobian_eigenvalues(np.linalg.svd(y, full_matrices=False)[1],
+                                   *y.shape, lam)
+    assert eig.size == y.size
+    assert (res.df_exact, res.trace_grad_sq) == (np.sum(eig), eig @ eig)
+    jac = _svt_jacobian_fd(y, lam, 1e-6)
+    np.testing.assert_allclose(jac, jac.T, atol=1e-6)
+    assert res.df_exact == pytest.approx(np.trace(jac), abs=1e-6)
+    assert res.trace_grad_sq == pytest.approx(np.sum(jac * jac.T), abs=1e-6)
 
 
 def test_svt_degenerate_flag():
