@@ -62,6 +62,12 @@ def _echo_or_write(payload: dict, out: str | None, fmt: str) -> None:
         click.echo(text)
 
 
+def _check(ok: bool, message: str) -> None:
+    """Reject bad option values at the boundary: one ``Error:`` line, exit 1."""
+    if not ok:
+        raise click.ClickException(message)
+
+
 def _load_matrix(path: str) -> np.ndarray:
     """Read a CSV matrix; malformed or non-finite input is a usage error."""
     try:
@@ -192,16 +198,28 @@ _fit_command("sure4sure", 0.0, _sure4sure_summary,
 @click.option("--X", "x_path", type=click.Path(exists=True), required=True,
               help="Observed matrix, CSV.")
 @click.option("--lam", type=float, required=True)
+@click.option("--sigma", type=float, default=None,
+              help="Noise level; adds sure, r_hat and r_prime of the SVT "
+                   "estimate.")
 @with_common
-def svt_df(x_path, lam, seed, out, fmt):
+def svt_df(x_path, lam, sigma, seed, out, fmt):
     """Singular value thresholding: its exact divergence and tr J^2."""
+    _check(lam >= 0, "--lam must be nonnegative, not %r" % lam)
+    _check(sigma is None or sigma >= 0,
+           "--sigma must be nonnegative, not %r" % sigma)
     y = _load_matrix(x_path)
     res = solvers.svt(y, lam)
-    payload = harness.results_payload("svt_df", seed, {"lam": lam}, {
+    params, results = {"lam": lam}, {
         "df_exact": res.df_exact, "degenerate": res.degenerate,
         "shape": list(y.shape), "trace_grad_sq": res.trace_grad_sq,
-    })
-    _echo_or_write(payload, out, fmt)
+    }
+    if sigma is not None:
+        rep = stein.sure_for_sure(y.ravel(), res.matrix.ravel(), res.df_exact,
+                                  res.trace_grad_sq, sigma)
+        params["sigma"] = sigma
+        results.update(sure=rep.sure, r_hat=rep.r_hat, r_prime=rep.r_prime)
+    _echo_or_write(harness.results_payload("svt_df", seed, params, results),
+                   out, fmt)
 
 
 @main.command("mc-div")
@@ -218,6 +236,10 @@ def svt_df(x_path, lam, seed, out, fmt):
 def mc_div(map_kind, x_path, y_path, lam, gamma, m, step, two_sided,
            seed, out, fmt):
     """Monte Carlo divergence of a fitted-value map at the given data."""
+    _check(lam >= 0, "--lam must be nonnegative, not %r" % lam)
+    _check(gamma >= 0, "--gamma must be nonnegative, not %r" % gamma)
+    _check(m >= 1, "--m must be at least 1, not %d" % m)
+    _check(step is None or step > 0, "--step must be positive, not %r" % step)
     if map_kind == "svt":
         if x_path is None:
             raise click.UsageError("--map svt requires --X (the matrix)")

@@ -120,15 +120,33 @@ def lasso_fitted_map(x: np.ndarray, lam: float, gamma: float = 0.0):
     return _FittedMap(x, lam, gamma)
 
 
+class _SvtMap:
+    """The callable that :func:`svt_map` returns."""
+
+    def __init__(self, lam):
+        self.lam = lam
+        self.fallbacks = 0
+
+    def __call__(self, y_matrix):
+        out = solvers._svt_gram(y_matrix, self.lam)
+        if out is None:
+            self.fallbacks += 1
+            out = solvers._svt_shrink(y_matrix, self.lam)[0]
+        return out
+
+
 def svt_map(lam: float):
     """Matrix denoiser Y -> singular-value-thresholded Y.
 
-    The same matrix as ``solvers.svt(Y, lam).matrix``, without the
-    divergence that a probe does not need.
+    Each call takes one ``eigh`` of the smaller Gram matrix
+    (:func:`solvers._svt_gram`) and keeps it only under that function's
+    a-priori certificate, an error bound of at most SVT_GRAM_TOL = 1e-10
+    against s_max; the result then equals ``solvers.svt(Y, lam).matrix`` to
+    rounding, not bitwise.  Otherwise, and for lam = 0 or input that
+    ``svt`` rejects, the call is the SVD of ``svt`` with its values and
+    errors.  The returned callable counts those calls in ``fallbacks``.
     """
-    def mapped(y_matrix):
-        return solvers._svt_shrink(y_matrix, lam)[0]
-    return mapped
+    return _SvtMap(lam)
 
 
 def divergence_table(f, y, df_exact: float, m_grid, n_real: int,

@@ -26,6 +26,8 @@ HARD_ZERO = 1e-12
 # largest; see support_spectrum
 RANK_RTOL = 1e-12
 KKT_MARGIN = 1e-6
+# largest a-priori error bound that _svt_gram accepts
+SVT_GRAM_TOL = 1e-10
 
 
 def soft_threshold(v, t):
@@ -465,6 +467,43 @@ def _svt_shrink(y_matrix, lam: float):
         raise ValueError("lam must be nonnegative")
     u, s, vt = np.linalg.svd(y_matrix, full_matrices=False)
     return (u * np.maximum(s - lam, 0.0)) @ vt, s
+
+
+def _svt_gram(y_matrix, lam: float):
+    """The thresholded matrix from one ``eigh`` of the smaller Gram matrix,
+    or None when it is not certified.
+
+    SVT(Y) = Y h(Y'Y) = h(YY') Y with h(t) = (1 - lam / sqrt(t))_+, which is
+    Lipschitz with L = 1 / (2 lam^2); the Frobenius norm is Lipschitz for
+    matrix functions with the same constant.  A rounding error of order
+    k eps s_max^2 in the Gram matrix (k = min(q, n)) thus moves h by at
+    most k eps s_max^2 / (2 lam^2), and the result is accepted only when
+    that is at most SVT_GRAM_TOL.  The Gram matrix is formed from Y / lam,
+    so that its entries neither underflow against lam^2 nor need the
+    certificate rescaled.  lam <= 0 (or NaN), an empty or non-matrix input
+    and a non-finite or overflowing Y are never certified.  Small singular
+    values come out of the Gram eigenvalues only to about sqrt(eps) s_max,
+    so :func:`svt`, whose divergence needs them, keeps the SVD.
+    """
+    y_matrix = np.asarray(y_matrix, dtype=float)
+    if y_matrix.ndim != 2 or y_matrix.size == 0 or not lam > 0.0:
+        return None
+    wide = y_matrix.shape[0] < y_matrix.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = y_matrix / lam
+        gram = z @ z.T if wide else z.T @ z
+    if not math.isfinite(np.trace(gram)):
+        return None
+    w, v = np.linalg.eigh(gram)   # ascending: w[-1] = (s_max / lam)^2
+    bound = min(y_matrix.shape) * np.finfo(float).eps * w[-1] / 2.0
+    if bound > SVT_GRAM_TOL:
+        return None
+    keep = w > 1.0
+    v = v[:, keep]
+    h = 1.0 - 1.0 / np.sqrt(w[keep])
+    if wide:
+        return (v * h) @ (v.T @ y_matrix)
+    return ((y_matrix @ v) * h) @ v.T
 
 
 def svt(y_matrix: np.ndarray, lam: float) -> SvtResult:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinsure.core import RegressionProblem, RngStream
-from steinsure import solvers
+from steinsure import divergence_mc, harness, solvers
 from steinsure.divergence_mc import (default_step, divergence_table,
                                      lasso_fitted_map, mc_divergence, svt_map)
 
@@ -62,6 +62,109 @@ def test_svt_map_matrix_shaped():
     assert est.value == pytest.approx(res.df_exact,
                                       abs=4 * est.empirical_se + 0.2)
     assert est.se_bound == pytest.approx(2 * math.sqrt(54 / 300))
+
+
+def _orthonormal(gen, rows, k):
+    return np.linalg.qr(gen.standard_normal((rows, k)))[0]
+
+
+@st.composite
+def _svt_gram_case(draw):
+    """(matrix, lam, edge): q and n in 1..9, lam from 1e-150 to 1e150 and
+    singular values s_i = lam t_i with t_i in [0, 4], edited by ``edge``:
+    an exact or 1e-9 tie, values at lam (1 +- 1e-9), the lower half zero,
+    the zero matrix, or s_max = 1e4 lam, beyond the certificate."""
+    q, n = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    k = min(q, n)
+    lam = draw(st.sampled_from([1e-150, 1e-3, 0.7, 1.0, 1e3, 1e150]))
+    t = np.array(draw(st.lists(st.floats(0.0, 4.0), min_size=k, max_size=k)))
+    edge = draw(st.sampled_from(["none", "tie", "near_tie", "at_lam",
+                                 "rank_deficient", "zero", "beyond"]))
+    if edge in ("tie", "near_tie") and k >= 2:
+        t[1] = t[0] + (1e-9 if edge == "near_tie" else 0.0)
+    elif edge == "at_lam":
+        t[0], t[-1] = 1.0 + 1e-9, 1.0 - 1e-9
+    elif edge == "rank_deficient":
+        t[k // 2:] = 0.0
+    elif edge == "zero":
+        t[:] = 0.0
+    elif edge == "beyond":
+        t[0] = 1e4
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    y = (_orthonormal(gen, q, k) * (lam * t)) @ _orthonormal(gen, n, k).T
+    return y, lam, edge
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=_svt_gram_case())
+def test_svt_map_gram_path_equals_svd(case):
+    # the certificate bounds the error against s_max, as the SVD's own
+    # backward error is against ||Y||: so is the gap
+    y, lam, edge = case
+    f = svt_map(lam)
+    out = f(y)
+    ref = solvers._svt_shrink(y, lam)[0]
+    assert f.fallbacks == (edge == "beyond")
+    if f.fallbacks:
+        np.testing.assert_array_equal(out, ref)
+    else:
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(y)
+
+
+def _diagonal(values):
+    y = np.zeros((10, 10))
+    y[np.diag_indices(len(values))] = values
+    return y
+
+
+# bound = k eps (s_max / lam)^2 / 2 with k = 10: s_max / lam = sqrt(2 bound /
+# (10 eps)) is 284.7 at 0.9e-10 and 314.7 at 1.1e-10
+@pytest.mark.parametrize("y, lam, error, fallbacks", [
+    (_diagonal([284.7, 3.0]), 1.0, None, 0),
+    (_diagonal([314.7, 3.0]), 1.0, None, 1),
+    (_diagonal([5.0, 0.5]), 0.0, None, 1),
+    (np.zeros((0, 3)), 1.0, None, 1),
+    (_diagonal([1e200, 1.0]), 1e-200, None, 1),   # Y / lam overflows
+    (_diagonal([np.nan, 1.0]), 1.0, np.linalg.LinAlgError, 1),
+    (np.ones(4), 1.0, ValueError, 1),
+    (np.ones((2, 2, 2)), 1.0, ValueError, 1),
+    (np.ones((3, 2)), -1.0, ValueError, 1),
+])
+def test_svt_map_fallbacks_are_the_svd(y, lam, error, fallbacks):
+    f = svt_map(lam)
+    if error is None:
+        out, ref = f(y), solvers._svt_shrink(y, lam)[0]
+        if fallbacks:
+            np.testing.assert_array_equal(out, ref)
+        else:
+            assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(y)
+    else:
+        with pytest.raises(error) as slow:
+            solvers._svt_shrink(y, lam)
+        with pytest.raises(error) as fast:
+            f(y)
+        assert str(fast.value) == str(slow.value)
+    assert f.fallbacks == fallbacks
+
+
+def test_svt_table_equals_svd_table(monkeypatch):
+    """The acceptance_08 svt table (seed 64) through the Gram path and
+    through the SVD alone: same means, and no probe falls back."""
+    maps = []
+
+    def recording_map(lam):
+        maps.append(svt_map(lam))
+        return maps[-1]
+    monkeypatch.setattr(divergence_mc, "svt_map", recording_map)
+    kwargs = dict(seed=64, m_grid=[10, 40], n_real=3)
+    fast = harness.experiment_mc_divergence("svt", **kwargs)
+    monkeypatch.setattr(solvers, "_svt_gram", lambda y, lam: None)
+    slow = harness.experiment_mc_divergence("svt", **kwargs)
+    evals = 3 * (11 + 41)
+    assert [f.fallbacks for f in maps] == [0, evals]
+    assert fast["df_exact"] == slow["df_exact"]
+    for a, b in zip(fast["rows"], slow["rows"]):
+        assert a["mean"] == pytest.approx(b["mean"], rel=1e-10, abs=0)
 
 
 def test_default_step_scale():

@@ -184,6 +184,60 @@ def test_cli_svt_and_mc_div(tmp_path):
     assert abs(v - exact) < 6.0
 
 
+def test_cli_svt_df_sigma_adds_sure_for_sure(tmp_path):
+    gen = np.random.default_rng(3)
+    mp = str(tmp_path / "M.csv")
+    save_matrix_csv(gen.standard_normal((6, 5)), mp)
+    args = ["svt-df", "--X", mp, "--lam", "1.0"]
+    plain = runner.invoke(cli.main, args)
+    res = runner.invoke(cli.main, args + ["--sigma", "0.7"])
+    assert plain.exit_code == 0 and res.exit_code == 0
+    base, full = json.loads(plain.output), json.loads(res.output)
+    assert base["params"] == {"lam": 1.0}
+    assert full["params"] == {"lam": 1.0, "sigma": 0.7}
+    y = load_matrix_csv(mp)
+    lib = solvers.svt(y, 1.0)
+    s2, dim = 0.7**2, y.size
+    rss = float(np.sum((y - lib.matrix) ** 2))
+    sure = rss + 2 * s2 * lib.df_exact - s2 * dim
+    expected = {"sure": sure,
+                "r_hat": (4 * s2 * rss + 4 * s2**2 * lib.trace_grad_sq
+                          - 2 * s2**2 * dim),
+                "r_prime": 2 * s2 * (rss + sure)}
+    results = full["results"]
+    for key, value in expected.items():
+        assert results.pop(key) == pytest.approx(value, rel=1e-12)
+    assert results == base["results"]
+
+
+@pytest.mark.parametrize("args, message", [
+    (["svt-df", "--X", "X", "--lam", "-1"], "--lam must be nonnegative"),
+    (["svt-df", "--X", "X", "--lam", "nan"], "--lam must be nonnegative"),
+    (["svt-df", "--X", "X", "--lam", "1", "--sigma", "-1"],
+     "--sigma must be nonnegative"),
+    (["mc-div", "--map", "svt", "--X", "X", "--lam", "-1"],
+     "--lam must be nonnegative"),
+    (["mc-div", "--map", "soft", "--y", "y", "--lam", "-1"],
+     "--lam must be nonnegative"),
+    (["mc-div", "--map", "lasso", "--X", "X", "--y", "y", "--lam", "0.1",
+      "--gamma", "-1"], "--gamma must be nonnegative"),
+    (["mc-div", "--map", "svt", "--X", "X", "--lam", "1", "--m", "0"],
+     "--m must be at least 1, not 0"),
+    (["mc-div", "--map", "svt", "--X", "X", "--lam", "1", "--step", "-1"],
+     "--step must be positive"),
+    (["mc-div", "--map", "soft", "--y", "y", "--lam", "1", "--step", "0"],
+     "--step must be positive"),
+])
+def test_cli_bad_option_values_are_one_line_usage_errors(tmp_path, args,
+                                                         message):
+    xp, yp = _write_problem(tmp_path)
+    res = runner.invoke(cli.main, [{"X": xp, "y": yp}.get(a, a) for a in args])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)   # no traceback
+    lines = res.stderr.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("Error: " + message)
+
+
 def test_cli_run_config(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "sos", "seed": 3,
