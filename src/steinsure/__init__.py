@@ -12,7 +12,7 @@ experiment harness with serialization (``harness``).
 from .core import (RegressionProblem, RngStream, chi_square_quantile,
                    gaussian_design)
 from .solvers import (BatchUnconverged, FitResult, KktReport, SvtResult,
-                      check_kkt, fit_elastic_net, fit_lasso, fit_lasso_batch,
+                      check_kkt, fit_lasso, fit_lasso_batch,
                       lasso_projection, soft_threshold, support_spectrum, svt,
                       svt_jacobian_eigenvalues)
 from .stein import (ConfidenceInterval, IdentityReport, SureReport,

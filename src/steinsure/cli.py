@@ -68,6 +68,12 @@ def _check(ok: bool, message: str) -> None:
         raise click.ClickException(message)
 
 
+def _check_penalty(option: str, value: float) -> None:
+    """An l1 or ridge penalty must be finite and nonnegative; NaN fails."""
+    _check(0.0 <= value < math.inf,
+           "%s must be nonnegative and finite, not %r" % (option, value))
+
+
 def _load_matrix(path: str) -> np.ndarray:
     """Read a CSV matrix; malformed or non-finite input is a usage error."""
     try:
@@ -156,6 +162,8 @@ def _fit_command(name, default_gamma, summarize, doc=None):
     @click.option("--sigma", type=float, default=1.0, show_default=True)
     @with_common
     def cmd(x_path, y_path, lam, gamma, sigma, seed, out, fmt):
+        _check_penalty("--lam", lam)
+        _check_penalty("--gamma", gamma)
         _fit_and_report(name, {"lam": lam, "gamma": gamma, "sigma": sigma},
                         x_path, y_path, [lam], gamma, sigma, summarize,
                         seed, out, fmt)
@@ -236,8 +244,8 @@ def svt_df(x_path, lam, sigma, seed, out, fmt):
 def mc_div(map_kind, x_path, y_path, lam, gamma, m, step, two_sided,
            seed, out, fmt):
     """Monte Carlo divergence of a fitted-value map at the given data."""
-    _check(lam >= 0, "--lam must be nonnegative, not %r" % lam)
-    _check(gamma >= 0, "--gamma must be nonnegative, not %r" % gamma)
+    _check_penalty("--lam", lam)
+    _check_penalty("--gamma", gamma)
     _check(m >= 1, "--m must be at least 1, not %d" % m)
     _check(step is None or step > 0, "--step must be positive, not %r" % step)
     if map_kind == "svt":
@@ -283,6 +291,8 @@ def tune(x_path, y_path, lams, sigma, seed, out, fmt):
         raise click.UsageError("--lams must be a comma-separated float list")
     if not grid:
         raise click.UsageError("--lams must be nonempty")
+    for lam in grid:
+        _check_penalty("--lams", lam)
 
     def summarize(problem, fits):
         values = [stein.sure(problem.y, fit.mu_hat, fit.df_hat, problem.sigma)

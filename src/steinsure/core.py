@@ -1,5 +1,6 @@
 """Shared numerical infrastructure: reproducible streams, the regression
-data container, Gaussian designs, and the chi-square CDF and quantile.
+data container, Gaussian designs, the chi-square CDF and quantile, and the
+standard error of a sample variance.
 
 Random numbers are produced by counter-based Philox generators keyed by a
 ``(seed, stream_id)`` pair, so any replication can be regenerated in
@@ -8,6 +9,7 @@ isolation without advancing global state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,3 +114,11 @@ def chi_square_quantile(df: float, prob: float) -> float:
     if not (0.0 < prob < 1.0):
         raise ValueError("prob must lie strictly between 0 and 1")
     return 2.0 * float(gammaincinv(df / 2.0, prob))
+
+
+def sample_variance(values: np.ndarray) -> tuple[float, float]:
+    """Sample variance (ddof 1) of the r ``values`` and its standard error
+    sqrt(max(m4 - var^2, 0) / r), m4 being their fourth central moment."""
+    var = float(np.var(values, ddof=1))
+    m4 = float(np.mean((values - np.mean(values)) ** 4))
+    return var, math.sqrt(max(m4 - var**2, 0.0) / values.size)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RegressionProblem
+from .core import RegressionProblem, sample_variance
 from . import solvers
 
 
@@ -147,11 +147,8 @@ def pivot_variance_check(pivots, v_stars) -> dict:
     v_stars = np.asarray(v_stars, dtype=float)
     r = pivots.size
     mean_p = float(np.mean(pivots))
-    var_p = float(np.var(pivots, ddof=1))
+    var_p, se_var_p = sample_variance(pivots)
     se_mean_p = math.sqrt(var_p / r)
-    centered = pivots - mean_p
-    m4 = float(np.mean(centered**4))
-    se_var_p = math.sqrt(max(m4 - var_p**2, 0.0) / r)
     mean_v = float(np.mean(v_stars))
     se_v = float(np.std(v_stars, ddof=1)) / math.sqrt(r)
     return {

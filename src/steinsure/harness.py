@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RegressionProblem, RngStream
+from .core import RegressionProblem, RngStream, sample_variance
 from . import debias as debias_mod
 from . import divergence_mc, selection, solvers, stein
 
@@ -191,9 +191,7 @@ def experiment_unbiasedness(n: int = 100, p: int = 200, s0: int = 5,
     rel = (r_hat / np.mean(r_hat) - 1.0) ** 2
     rel_mean = float(np.mean(rel))
     rel_se = float(np.std(rel, ddof=1)) / math.sqrt(reps)
-    var_rp = float(np.var(r_prime, ddof=1))
-    centered = r_prime - np.mean(r_prime)
-    se_var_rp = math.sqrt(max(float(np.mean(centered**4)) - var_rp**2, 0.0) / reps)
+    var_rp, se_var_rp = sample_variance(r_prime)
     rp_bound = 16.0 * s4 * float(np.mean(r_dp))
     rp_bound_se = 16.0 * s4 * float(np.std(r_dp, ddof=1)) / math.sqrt(reps)
     return {
@@ -263,10 +261,7 @@ def experiment_model_size(reps: int = 1000, seed: int = 1,
         sizes = _lasso_replications(x, mu, lam, sigma, _responses(
             mu, sigma, reps, base.child(10 * ci + 1)))[0].df_hat
         mean_size = float(np.mean(sizes))
-        var_size = float(np.var(sizes, ddof=1))
-        centered = sizes - mean_size
-        se_var = math.sqrt(
-            max(float(np.mean(centered**4)) - var_size**2, 0.0) / reps)
+        var_size, se_var = sample_variance(sizes)
         bound = min(2.0 * n, stein.model_size_variance_bound(mean_size, p))
         rows.append({**cfg, "mean_size": mean_size, "var_size": var_size,
                      "se_var": se_var, "bound": bound,
@@ -286,10 +281,7 @@ def experiment_model_size(reps: int = 1000, seed: int = 1,
     thr = math.sqrt(n) * lam
     q = (norm.sf((thr - mu) / sigma) + norm.sf((thr + mu) / sigma))
     var_exact = float(np.sum(q * (1.0 - q)))
-    var_emp = float(np.var(sizes, ddof=1))
-    centered = sizes - np.mean(sizes)
-    se_var = math.sqrt(
-        max(float(np.mean(centered**4)) - var_emp**2, 0.0) / reps)
+    var_emp, se_var = sample_variance(sizes)
     z_ortho = abs(var_emp - var_exact) / max(se_var, 1e-300)
     return {"grid": rows, "all_ok": all(r["ok"] for r in rows),
             "ortho": {"var_exact": var_exact, "var_emp": var_emp,
@@ -494,9 +486,10 @@ EXPERIMENTS = {
 class ExperimentConfig:
     """A named experiment and its keyword parameters.
 
-    An unknown kind, a parameter the experiment does not take, and fewer
-    than two replications (``reps``) or realizations (``n_real``) raise
-    ValueError here, before anything runs.
+    An unknown kind, a parameter the experiment does not take, fewer than
+    two replications (``reps``) or realizations (``n_real``), and a
+    negative, infinite or NaN ``lam`` raise ValueError here, before
+    anything runs.
     """
     kind: str
     seed: int = 1
@@ -517,6 +510,9 @@ class ExperimentConfig:
             if not isinstance(count, int) or count < 2:
                 raise ValueError("%s must be an integer of at least 2, not %r"
                                  % (name, count))
+        lam = self.params.get("lam")
+        if lam is not None and not 0.0 <= lam < math.inf:
+            raise ValueError("lam must be finite and nonnegative, not %r" % lam)
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":

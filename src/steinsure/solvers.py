@@ -28,6 +28,8 @@ RANK_RTOL = 1e-12
 KKT_MARGIN = 1e-6
 # largest a-priori error bound that _svt_gram accepts
 SVT_GRAM_TOL = 1e-10
+# most working-set sweeps an l1 round makes before its duality-gap check
+ROUND_SWEEPS = 10
 
 
 def soft_threshold(v, t):
@@ -74,15 +76,53 @@ class SvtResult(NamedTuple):
 
 
 def _dual_gap(x, y, beta, resid, lam, gamma):
-    """Duality gap of F at beta, via the ridge-augmented l1 formulation."""
-    n = y.shape[0]
-    corr = (x.T @ resid - gamma * beta) / n
-    cmax = float(np.max(np.abs(corr))) if corr.size else 0.0
-    scale = 1.0 if cmax <= lam or cmax == 0.0 else lam / cmax
-    rss = float(resid @ resid) + gamma * float(beta @ beta)
-    primal = rss / (2.0 * n) + lam * float(np.sum(np.abs(beta)))
-    dual = scale * float(resid @ y) / n - scale * scale * rss / (2.0 * n)
+    """Duality gap of F at beta, via the ridge-augmented l1 formulation; one
+    gap per row when ``y``, ``beta`` and ``resid`` stack one problem a row."""
+    n = y.shape[-1]
+    corr = (resid @ x - gamma * beta) / n
+    cmax = np.max(np.abs(corr), axis=-1, initial=0.0)
+    scale = np.where(cmax > lam, lam / np.maximum(cmax, 1e-300), 1.0)
+    rss = (np.einsum("...i,...i", resid, resid)
+           + gamma * np.einsum("...i,...i", beta, beta))
+    primal = rss / (2 * n) + lam * np.sum(np.abs(beta), axis=-1)
+    dual = scale * np.einsum("...i,...i", resid, y) / n - scale ** 2 * rss / (2 * n)
     return primal - dual
+
+
+def _check_penalty(lam, gamma):
+    """Reject a negative, infinite or NaN penalty: its gap never converges."""
+    if not (0.0 <= lam < math.inf and 0.0 <= gamma < math.inf):
+        raise ValueError("penalty levels must be finite and nonnegative")
+
+
+def _rounds(sweep, coefs, certify, p, cold, max_iter):
+    """Run the l1 round schedule and return the number of sweeps made.
+
+    A cold start makes one full sweep.  Each round sweeps the nonzero
+    columns of ``coefs()`` (all columns when there are none; the union over
+    rows when it stacks fits) at most ROUND_SWEEPS times, stopping once
+    ``sweep(cols)`` returns a largest move of at most 1e-14 (1 + max|coefs()|).
+    ``certify()`` then checks the duality gap; unless it passes or
+    ``max_iter`` sweeps are spent, a full sweep regrows the set (Friedman,
+    Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)).
+    """
+    full = list(range(p))
+    it = 0
+    if cold:
+        sweep(full)
+        it = 1
+    while True:
+        nonzero = np.any(np.atleast_2d(coefs()) != 0.0, axis=0)
+        active = np.flatnonzero(nonzero).tolist() or full
+        for _ in range(min(ROUND_SWEEPS, max_iter - it)):
+            moved = sweep(active)
+            it += 1
+            if moved <= 1e-14 * (1.0 + np.max(np.abs(coefs()), initial=0.0)):
+                break
+        if certify() or it >= max_iter:
+            return it
+        sweep(full)
+        it += 1
 
 
 def _jacobian_weights(d2, gamma):
@@ -196,14 +236,12 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
     ``lam = 0`` with ``gamma = 0`` falls back to least squares; ``lam = 0``
     with ``gamma > 0`` is plain ridge.  Convergence is declared when the
     duality gap falls below ``tol`` (default 1e-10 * (1 + ||y||^2/n)).
-    A cold start sweeps every column once and then iterates on the nonzero
-    set, as a warm start does; each round ends in the gap check over all p
-    columns and a full sweep that regrows the set.
+    The sweeps follow the round schedule of :func:`_rounds`, and
+    ``max_iter`` caps them.
     """
     x, y = problem.x, problem.y
     n, p = x.shape
-    if lam < 0 or gamma < 0:
-        raise ValueError("penalty levels must be nonnegative")
+    _check_penalty(lam, gamma)
     if tol is None:
         tol = default_tol(y)
 
@@ -228,7 +266,7 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
         # of a zero, which never reaches beta or the residual
         nonlocal resid
         moved = 0.0
-        for j in cols.tolist():
+        for j in cols:
             csj = col_sq[j]
             if csj == 0.0:
                 continue
@@ -244,41 +282,15 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
                 moved = max(moved, abs(bn - bj))
         return moved
 
-    it = 0
-    full = np.arange(p)
-    if beta0 is None:
-        # cold start: one full sweep, then work on its active set
-        sweep(full)
-        it = 1
-    active = np.flatnonzero(beta)
-    if active.size == 0:
-        active = full
-    while it < max_iter:
-        # iterate the working set to stationarity, then certify or grow it
-        for _ in range(50):
-            moved = sweep(active)
-            it += 1
-            if moved <= 1e-14 * (1.0 + np.max(np.abs(beta))) or it >= max_iter:
-                break
-        gap = _dual_gap(x, y, beta, resid, lam, gamma)
-        if gap <= tol or it >= max_iter:
-            return _finish(x, y, beta, lam, gamma, gap, it, bool(gap <= tol))
-        sweep(full)
-        it += 1
-        active = np.flatnonzero(beta)
-        if active.size == 0:
-            gap = _dual_gap(x, y, beta, resid, lam, gamma)
-            if gap <= tol:
-                return _finish(x, y, beta, lam, gamma, gap, it, True)
-            active = full
-    gap = _dual_gap(x, y, beta, resid, lam, gamma)
+    gap = math.inf
+
+    def certify():
+        nonlocal gap
+        gap = float(_dual_gap(x, y, beta, resid, lam, gamma))
+        return gap <= tol
+
+    it = _rounds(sweep, lambda: beta, certify, p, beta0 is None, max_iter)
     return _finish(x, y, beta, lam, gamma, gap, it, bool(gap <= tol))
-
-
-def fit_elastic_net(problem: RegressionProblem, lam: float, gamma: float,
-                    **kwargs) -> FitResult:
-    """Ridge-plus-l1 fit; see :func:`fit_lasso` for the shared objective."""
-    return fit_lasso(problem, lam, gamma=gamma, **kwargs)
 
 
 class BatchUnconverged(RuntimeError):
@@ -298,26 +310,23 @@ def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
                     betas0: np.ndarray | None = None) -> np.ndarray:
     """Solve many l1 problems sharing one design; returns the (R, p) betas.
 
-    Same objective, gap tolerance and working-set rule as :func:`fit_lasso`,
-    vectorized across the rows of ``ys``: a cold start sweeps every column
-    once; each round then sweeps the union of the live rows' nonzero
-    columns until no coefficient moves (at most 10 sweeps a round, where
-    :func:`fit_lasso` allows 50), checks every live row's duality gap, drops
-    the rows that pass, and regrows the set with one full sweep.  A column
-    update touches only the rows whose coefficient moved.  ``max_iter``
-    caps the sweeps; rows still above tolerance then raise
-    :class:`BatchUnconverged`.  Pure performance path for replication
-    studies.
+    Same objective, gap tolerance and round schedule (:func:`_rounds`) as
+    :func:`fit_lasso`, vectorized across the rows of ``ys``: the working
+    set is the union of the live rows' nonzero columns, and each gap check
+    drops the rows that pass.  A column update touches only the rows whose
+    coefficient moved.  ``max_iter`` caps the sweeps; rows still above
+    tolerance then raise :class:`BatchUnconverged`.  Pure performance path
+    for replication studies.
     """
     x = np.asarray(x, dtype=float)
     ys = np.atleast_2d(np.asarray(ys, dtype=float))
     n, p = x.shape
     nrep = ys.shape[0]
-    if lam <= 0:
+    _check_penalty(lam, gamma)
+    if lam == 0.0:
         raise ValueError("batch path requires lam > 0")
     xt = np.ascontiguousarray(x.T)
     col_sq = np.einsum("ij,ij->j", x, x)
-    tols = default_tol(ys) if tol is None else np.full(nrep, tol)
 
     betas = np.zeros((nrep, p)) if betas0 is None else np.array(betas0, dtype=float)
     # a zero column's coefficient is 0 at the optimum and no sweep visits it
@@ -327,10 +336,11 @@ def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
     bl = betas.copy()
     rl = ys - bl @ x.T if betas0 is not None else ys.copy()
     yl = ys.copy()
-    tl = tols.copy()
+    tl = default_tol(ys) if tol is None else np.full(nrep, tol)
     idx = np.arange(nrep)
 
     def sweep(cols):
+        moves = []   # reduced once a sweep, not per column: ~10% faster
         for j in cols:
             csj = col_sq[j]
             if csj == 0.0:
@@ -343,39 +353,23 @@ def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
             nz = delta.nonzero()[0]
             if nz.size:
                 # subtracting zero leaves a row as it was, so skip those rows
-                rl[nz] -= delta[nz, None] * xj
+                dnz = delta[nz]
+                rl[nz] -= dnz[:, None] * xj
                 bl[:, j] = bn
+                moves.append(dnz)
+        return float(np.max(np.abs(np.concatenate(moves)))) if moves else 0.0
 
-    full = list(range(p))
-    it = 0
-    if betas0 is None:
-        sweep(full)
-        it = 1
-    while idx.size:
-        active = np.flatnonzero(np.any(bl != 0.0, axis=0)).tolist() or full
-        for _ in range(min(10, max_iter - it)):
-            before = bl[:, active]
-            sweep(active)
-            it += 1
-            moved = np.max(np.abs(bl[:, active] - before))
-            if moved <= 1e-14 * (1.0 + np.max(np.abs(bl))):
-                break
-        # batched duality gap on the still-live replications
-        corr = (rl @ x - gamma * bl) / n
-        cmax = np.max(np.abs(corr), axis=1)
-        scale = np.where(cmax > lam, lam / np.maximum(cmax, 1e-300), 1.0)
-        rss = np.einsum("ij,ij->i", rl, rl) + gamma * np.einsum("ij,ij->i", bl, bl)
-        primal = rss / (2 * n) + lam * np.sum(np.abs(bl), axis=1)
-        dual = scale * np.einsum("ij,ij->i", rl, yl) / n - scale ** 2 * rss / (2 * n)
-        done = primal - dual <= tl
+    def certify():
+        # drop the live rows whose duality gap passes
+        nonlocal bl, rl, yl, tl, idx
+        done = _dual_gap(x, yl, bl, rl, lam, gamma) <= tl
         if np.any(done):
             betas[idx[done]] = bl[done]
             keep = ~done
             bl, rl, yl, tl, idx = bl[keep], rl[keep], yl[keep], tl[keep], idx[keep]
-        if not idx.size or it >= max_iter:
-            break
-        sweep(full)
-        it += 1
+        return not idx.size
+
+    it = _rounds(sweep, lambda: bl, certify, p, betas0 is None, max_iter)
     if idx.size:
         raise BatchUnconverged(idx.size, it)
     betas[np.abs(betas) <= HARD_ZERO] = 0.0
@@ -465,6 +459,9 @@ def _svt_shrink(y_matrix, lam: float):
         raise ValueError("input must be a matrix")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
+    if not np.isfinite(y_matrix).all():
+        # the SVD of some non-finite matrices never returns
+        raise ValueError("input must be finite")
     u, s, vt = np.linalg.svd(y_matrix, full_matrices=False)
     return (u * np.maximum(s - lam, 0.0)) @ vt, s
 

@@ -307,25 +307,23 @@ def verify_sos_identity(field: VectorField, n: int, sigma: float, reps: int,
     if scalar_fn is None:
         lhs = (zf - s2 * div) ** 2
         rhs = s2 * fsq + s4 * tr2
-        diff = lhs - rhs
-        se = float(np.std(diff, ddof=1)) / math.sqrt(reps)
-        z = abs(float(np.mean(diff))) / max(se, 1e-300)
-        return IdentityReport(float(np.mean(lhs)), float(np.mean(rhs)), se, z,
-                              reps, "second_order")
-    g = np.array([scalar_fn.value(e) for e in eps])
-    grads = np.array([scalar_fn.grad(e) for e in eps])
-    w = zf - s2 * div - g
-    # ||f - Dg||^2 per draw needs f itself; recompute cheaply via field.value
-    fmg = np.array([float(np.sum((field.value(e) - gr) ** 2))
-                    for e, gr in zip(eps, grads)])
-    gradsq = np.einsum("ij,ij->i", grads, grads)
-    lhs = (w - np.mean(w)) ** 2
-    rhs = s2 * fmg + s4 * tr2 - s2 * gradsq + (g - np.mean(g)) ** 2
+        kind = "second_order"
+    else:
+        g = np.array([scalar_fn.value(e) for e in eps])
+        grads = np.array([scalar_fn.grad(e) for e in eps])
+        w = zf - s2 * div - g
+        # ||f - Dg||^2 per draw needs f itself; recompute cheaply via field.value
+        fmg = np.array([float(np.sum((field.value(e) - gr) ** 2))
+                        for e, gr in zip(eps, grads)])
+        gradsq = np.einsum("ij,ij->i", grads, grads)
+        lhs = (w - np.mean(w)) ** 2
+        rhs = s2 * fmg + s4 * tr2 - s2 * gradsq + (g - np.mean(g)) ** 2
+        kind = "general_variance"
     diff = lhs - rhs
     se = float(np.std(diff, ddof=1)) / math.sqrt(reps)
     z = abs(float(np.mean(diff))) / max(se, 1e-300)
     return IdentityReport(float(np.mean(lhs)), float(np.mean(rhs)), se, z,
-                          reps, "general_variance")
+                          reps, kind)
 
 
 def default_field_corpus(n: int, stream: RngStream) -> dict[str, VectorField]:

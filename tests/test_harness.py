@@ -227,6 +227,26 @@ def test_cli_svt_df_sigma_adds_sure_for_sure(tmp_path):
      "--step must be positive"),
     (["mc-div", "--map", "soft", "--y", "y", "--lam", "1", "--step", "0"],
      "--step must be positive"),
+    (["lasso", "--X", "X", "--y", "y", "--lam", "-1"],
+     "--lam must be nonnegative"),
+    (["lasso", "--X", "X", "--y", "y", "--lam", "nan"],
+     "--lam must be nonnegative"),
+    (["enet", "--X", "X", "--y", "y", "--lam", "-0.1"],
+     "--lam must be nonnegative"),
+    (["enet", "--X", "X", "--y", "y", "--lam", "0.1", "--gamma", "-1"],
+     "--gamma must be nonnegative"),
+    (["enet", "--X", "X", "--y", "y", "--lam", "0.1", "--gamma", "nan"],
+     "--gamma must be nonnegative"),
+    (["sure", "--X", "X", "--y", "y", "--lam", "nan"],
+     "--lam must be nonnegative"),
+    (["sure4sure", "--X", "X", "--y", "y", "--lam", "-1"],
+     "--lam must be nonnegative"),
+    (["tune", "--X", "X", "--y", "y", "--lams", "0.1,-1"],
+     "--lams must be nonnegative"),
+    (["tune", "--X", "X", "--y", "y", "--lams", "nan,0.1"],
+     "--lams must be nonnegative"),
+    (["mc-div", "--map", "lasso", "--X", "X", "--y", "y", "--lam", "inf"],
+     "--lam must be nonnegative and finite"),
 ])
 def test_cli_bad_option_values_are_one_line_usage_errors(tmp_path, args,
                                                          message):
@@ -272,6 +292,10 @@ def test_cli_non_finite_input_is_usage_error(tmp_path):
     ({"kind": "mc_divergence", "params": {"kind": "svt", "n_real": 1,
                                           "m_grid": [2]}},
      "n_real must be an integer of at least 2, not 1"),
+    ({"kind": "unbiasedness", "params": {"lam": -1.0}},
+     "lam must be finite and nonnegative, not -1.0"),
+    ({"kind": "debias", "params": {"lam": math.nan}},
+     "lam must be finite and nonnegative, not nan"),
 ])
 def test_cli_run_bad_config_is_one_line_usage_error(tmp_path, config,
                                                     message):

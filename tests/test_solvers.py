@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from steinsure.core import RegressionProblem, RngStream
 from steinsure import solvers
-from steinsure.solvers import (check_kkt, fit_elastic_net, fit_lasso,
-                               fit_lasso_batch, lasso_projection,
-                               soft_threshold, svt, svt_jacobian_eigenvalues)
+from steinsure.solvers import (check_kkt, fit_lasso, fit_lasso_batch,
+                               lasso_projection, soft_threshold, svt,
+                               svt_jacobian_eigenvalues)
 
 
 def _problem(seed, n=40, p=60, s0=3, amp=1.0):
@@ -48,8 +48,8 @@ def test_lasso_orthogonal_closed_form():
 def test_elastic_net_orthogonal_closed_form():
     n, lam, gamma = 4, 0.5, 2.0
     y = np.array([2.0, -1.0, 0.1, 3.0])
-    fit = fit_elastic_net(RegressionProblem(math.sqrt(n) * np.eye(n), y),
-                          lam, gamma)
+    fit = fit_lasso(RegressionProblem(math.sqrt(n) * np.eye(n), y), lam,
+                    gamma=gamma)
     expect = soft_threshold(math.sqrt(n) * y, n * lam) / (n + gamma)
     np.testing.assert_allclose(fit.beta, expect, atol=1e-12)
     k = int(np.sum(expect != 0))
@@ -61,7 +61,7 @@ def test_elastic_net_orthogonal_closed_form():
 def test_elastic_net_gamma_zero_limit():
     prob = _problem(0)
     f0 = fit_lasso(prob, 0.3)
-    f1 = fit_elastic_net(prob, 0.3, 1e-10)
+    f1 = fit_lasso(prob, 0.3, gamma=1e-10)
     np.testing.assert_allclose(f0.beta, f1.beta, atol=1e-6)
 
 
@@ -154,8 +154,17 @@ def test_batch_rows_equal_scalar_fits_and_pass_kkt(seed, n, p, reps, frac,
 
 
 def test_batch_requires_positive_lam():
+    # a bad penalty fails before the first sweep, in both kernels; the
+    # scalar kernel alone also takes lam = 0 (least squares)
+    x, y = np.eye(3), np.ones(3)
     with pytest.raises(ValueError):
-        fit_lasso_batch(np.eye(3), np.ones((1, 3)), 0.0)
+        fit_lasso_batch(x, y[None, :], 0.0)
+    for lam, gamma in [(-0.1, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+                       (0.1, -1.0), (0.1, math.nan), (0.1, math.inf)]:
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fit_lasso_batch(x, y[None, :], lam, gamma=gamma)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            fit_lasso(RegressionProblem(x, y), lam, gamma=gamma)
 
 
 @settings(max_examples=25, deadline=None)
@@ -208,14 +217,59 @@ def test_fit_lasso_stops_at_max_iter():
     prob = RegressionProblem(x, ys[0])
     warm = fit_lasso(prob, 3.0 * lam).beta
     for beta0 in (None, warm):
-        for max_iter in (1, 2, 3):
+        for max_iter in (1, 2, 3, 11, 12, 13):
             fit = fit_lasso(prob, lam, beta0=beta0, max_iter=max_iter)
+            # as in the batch kernel, a cold call here never stops a round
+            # early, so it spends every sweep
+            if beta0 is None:
+                assert fit.n_iter == max_iter
             assert fit.n_iter <= max_iter
             assert not fit.converged
             resid = prob.y - x @ fit.beta
             assert fit.gap == pytest.approx(
                 solvers._dual_gap(x, prob.y, fit.beta, resid, lam, 0.0),
                 rel=1e-9)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30),
+       p=st.integers(1, 40), reps=st.integers(1, 5),
+       gamma=st.sampled_from([0.0, 0.7]), scale=st.floats(0.05, 3.0))
+def test_stacked_dual_gap_equals_row_gaps(seed, n, p, reps, gamma, scale):
+    # stacked rows give each row's own gap; lam runs from 0.05 to 3 times
+    # the largest |x'y| / n, so rows fall on both sides of the dual
+    # scaling, and row 0 is the cold start beta = 0
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((n, p))
+    ys = gen.standard_normal((reps, n))
+    betas = gen.standard_normal((reps, p)) * (gen.random((reps, p)) < 0.5)
+    betas[0] = 0.0
+    resids = ys - betas @ x.T
+    lam = scale * float(np.max(np.abs(ys @ x))) / n
+    gaps = solvers._dual_gap(x, ys, betas, resids, lam, gamma)
+    assert gaps.shape == (reps,)
+    for y, beta, resid, gap in zip(ys, betas, resids, gaps):
+        assert gap == pytest.approx(
+            solvers._dual_gap(x, y, beta, resid, lam, gamma),
+            rel=1e-12, abs=1e-12)
+
+
+def test_both_kernels_check_the_gap_every_round(monkeypatch):
+    # cold calls here never stop a round early: sweep 1 is full, and each
+    # round makes ROUND_SWEEPS sweeps, checks the gap and, if the cap
+    # allows, regrows the set with one full sweep
+    x, ys, lam = _capped_problem()
+    calls = []
+    gap = solvers._dual_gap
+    monkeypatch.setattr(solvers, "_dual_gap",
+                        lambda *args: calls.append(1) or gap(*args))
+    max_iter = 1 + 2 * (solvers.ROUND_SWEEPS + 1)
+    fit = fit_lasso(RegressionProblem(x, ys[0]), lam, max_iter=max_iter)
+    assert (fit.n_iter, fit.converged, len(calls)) == (max_iter, False, 3)
+    calls.clear()
+    with pytest.raises(solvers.BatchUnconverged):
+        fit_lasso_batch(x, ys, lam, max_iter=max_iter)
+    assert len(calls) == 3
 
 
 def test_batch_sweeps_stop_at_max_iter():
@@ -398,6 +452,10 @@ def test_svt_validation():
         svt(np.ones((2, 2)), -1.0)
     with pytest.raises(ValueError):
         svt(np.ones(4), 1.0)
+    y = np.zeros((10, 10))
+    y[0, 0], y[1, 1] = math.inf, 1.0   # an SVD of this never returns
+    with pytest.raises(ValueError, match="input must be finite"):
+        svt(y, 1.0)
 
 
 def _duplicated_column_problem():

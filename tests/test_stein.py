@@ -167,7 +167,7 @@ def test_jacobian_traces_match_pinv(seed, p, extra, duplicate, gammas):
 def test_sure_diff_enet_against_lasso_explicit_jacobian():
     x, y, lasso = _mini_fit(4, lam=0.2)
     gamma = 3.0
-    enet = solvers.fit_elastic_net(RegressionProblem(x, y), 0.1, gamma)
+    enet = solvers.fit_lasso(RegressionProblem(x, y), 0.1, gamma=gamma)
     assert enet.support.size > lasso.support.size > 0
     j1 = _explicit_jacobian(x, enet.support, gamma)
     j2 = _explicit_jacobian(x, lasso.support, 0.0)
