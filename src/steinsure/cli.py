@@ -109,7 +109,10 @@ def with_common(fn):
 @click.group()
 @click.option("--threads", type=int, default=os.cpu_count(),
               show_default="logical cores",
-              help="Parallelism level; results do not depend on it.")
+              help="Worker processes for `run` of an mc_divergence or debias "
+                   "config, at most one per usable core; results do not "
+                   "depend on it.  The batch replication studies run as one "
+                   "vectorized fit.")
 @click.pass_context
 def main(ctx, threads):
     """Unbiased risk estimation, second-order refinements, and friends."""
@@ -388,10 +391,8 @@ def run(ctx, config_path, seed, out, fmt):
         config = harness.ExperimentConfig.from_json(config_path)
     except (ValueError, TypeError) as exc:   # JSON, kind, params or reps
         raise click.ClickException("bad config: %s" % exc)
-    if config.kind == "debias" and "threads" not in config.params:
-        config.params["threads"] = ctx.obj.get("threads", 1)
     with _batch_fits():
-        payload = harness.run_experiment(config)
+        payload = harness.run_experiment(config, ctx.obj["threads"])
     if out:
         harness.save_results_json(payload, out)
     else:

@@ -1,15 +1,20 @@
-"""Shared numerical infrastructure: reproducible streams, the regression
-data container, Gaussian designs, the chi-square CDF and quantile, and the
-standard error of a sample variance.
+"""Shared numerical infrastructure: reproducible streams, the replication
+engine, the regression data container, Gaussian designs, the chi-square CDF
+and quantile, and the standard error of a sample variance.
 
 Random numbers are produced by counter-based Philox generators keyed by a
 ``(seed, stream_id)`` pair, so any replication can be regenerated in
-isolation without advancing global state.
+isolation without advancing global state, and :func:`replicate` can run
+replications on any number of worker processes.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
+import multiprocessing
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +42,58 @@ class RngStream:
     def child(self, offset: int) -> "RngStream":
         """Derive a sub-stream; ``offset`` shifts the stream id."""
         return RngStream(self.seed, self.stream_id + offset)
+
+
+# Workers are forked where the platform allows it (Linux): they inherit the
+# parent's modules as they stand and start without importing numpy and scipy
+# afresh, which under spawn costs more than a probe table gains.  The default
+# start method varies with the Python version and platform, so it is named.
+_POOL_CONTEXT = multiprocessing.get_context(
+    "fork" if sys.platform.startswith("linux") else "spawn")
+_unit = None    # the unit a pool worker runs, set by _install
+
+
+def _install(unit) -> None:
+    global _unit
+    _unit = unit
+
+
+def _run_unit(index: int):
+    return _unit(index)
+
+
+def worker_count(threads: int, n_units: int) -> int:
+    """Processes for ``n_units`` units at ``threads`` requested workers:
+    never more than the units, nor than the cores this process may use,
+    and at least one."""
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    return max(1, min(threads, n_units, cores))
+
+
+def replicate(unit, n_units: int, workers: int = 1,
+              chunksize: int = 1) -> list:
+    """``[unit(i) for i in range(n_units)]`` on up to ``workers`` processes.
+
+    At one worker (see :func:`worker_count`) the units run in this process;
+    otherwise in one process pool, which receives ``unit`` once per worker
+    through its initializer, so a callable that carries large arrays is not
+    sent again with each index.  Results come back in index order, so when
+    ``unit(i)`` depends on ``i`` alone they do not depend on ``workers``.
+    A unit that keeps counters must return them: a worker's own state does
+    not come back.  Where workers are spawned (not on Linux), ``unit`` must
+    pickle and the calling script must guard its entry point with
+    ``if __name__ == "__main__"``.
+    """
+    workers = worker_count(workers, n_units)
+    if workers == 1:
+        return [unit(i) for i in range(n_units)]
+    with concurrent.futures.ProcessPoolExecutor(
+            workers, mp_context=_POOL_CONTEXT, initializer=_install,
+            initargs=(unit,)) as pool:
+        return list(pool.map(_run_unit, range(n_units), chunksize=chunksize))
 
 
 def gaussian_design(stream: RngStream, n: int, p: int,

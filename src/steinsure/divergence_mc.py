@@ -11,13 +11,18 @@ centered difference and roughly halves the error constant.
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import RegressionProblem, RngStream
+from .core import RegressionProblem, RngStream, replicate
 from . import solvers
+
+# the counters a map may keep; divergence_table sums them over its units
+COUNTERS = ("unconverged", "fallbacks")
 
 
 @dataclass
@@ -79,6 +84,17 @@ class _FittedMap:
         self.refit = None       # support, signs, X_S, Gram of the last CD fit
         self.unconverged = 0
 
+    def keep(self, fit):
+        """Answer later calls as if ``fit`` were the last descent fit."""
+        self.beta, self.refit = fit.beta, None
+        if fit.converged and self.lam > 0:
+            xs = self.x[:, fit.support]
+            try:
+                self.refit = (fit.support, np.sign(fit.beta[fit.support]), xs,
+                              solvers.refit_gram(xs, self.gamma))
+            except ValueError:  # collinear l1 support: no unique refit
+                pass
+
     def __call__(self, yv):
         if self.refit is not None:
             support, signs, xs, gram = self.refit
@@ -92,18 +108,12 @@ class _FittedMap:
         fit = solvers.fit_lasso(RegressionProblem(self.x, yv), self.lam,
                                 gamma=self.gamma, beta0=self.beta)
         self.unconverged += not fit.converged
-        self.beta, self.refit = fit.beta, None
-        if fit.converged and self.lam > 0:
-            xs = self.x[:, fit.support]
-            try:
-                self.refit = (fit.support, np.sign(fit.beta[fit.support]), xs,
-                              solvers.refit_gram(xs, self.gamma))
-            except ValueError:  # collinear l1 support: no unique refit
-                pass
+        self.keep(fit)
         return fit.mu_hat
 
 
-def lasso_fitted_map(x: np.ndarray, lam: float, gamma: float = 0.0):
+def lasso_fitted_map(x: np.ndarray, lam: float, gamma: float = 0.0,
+                     start=None):
     """y -> X beta_hat(y) for the l1 / elastic-net fit.
 
     After a converged coordinate-descent fit the map keeps its support S,
@@ -114,10 +124,16 @@ def lasso_fitted_map(x: np.ndarray, lam: float, gamma: float = 0.0):
     The refit is kept only for gamma > 0 or a full-rank X_S, so a collinear
     l1 support always goes through coordinate descent.
 
+    ``start``, a :func:`solvers.fit_lasso` result on the same ``x``, ``lam``
+    and ``gamma``, makes the map begin as if it had just made that fit.
+
     The returned callable counts in ``unconverged`` the coordinate-descent
-    fits that missed the duality-gap tolerance.
+    fits it made that missed the duality-gap tolerance.
     """
-    return _FittedMap(x, lam, gamma)
+    f = _FittedMap(x, lam, gamma)
+    if start is not None:
+        f.keep(start)
+    return f
 
 
 class _SvtMap:
@@ -149,24 +165,46 @@ def svt_map(lam: float):
     return _SvtMap(lam)
 
 
+def _realization(f, y, m_grid, n_real, stream, a, two_sided, index):
+    """Table entry ``index``: one probe estimate on a fresh copy of ``f``.
+
+    Returns the estimate and the copy's counters.  A copy keeps no state
+    from other entries, so its answer depends on ``index`` alone.
+    """
+    g = copy.copy(f)
+    counters = [name for name in COUNTERS if hasattr(g, name)]
+    for name in counters:
+        setattr(g, name, 0)
+    est = mc_divergence(g, y, m_grid[index // n_real], stream.child(index),
+                        a=a, two_sided=two_sided)
+    return est.value, {name: getattr(g, name) for name in counters}
+
+
 def divergence_table(f, y, df_exact: float, m_grid, n_real: int,
                      stream: RngStream, a: float | None = None,
-                     two_sided: bool = False) -> list[dict]:
+                     two_sided: bool = False, threads: int = 1) -> list[dict]:
     """Mean/std of the probe estimator over independent probe sets.
 
     The data point ``y`` is held fixed; for each probe count in ``m_grid``
     the estimator is recomputed ``n_real`` times with fresh probes.  Rows
     report the spread against the analytic divergence ``df_exact``.
+
+    Each estimate starts from a shallow copy of ``f`` as it stands, draws
+    from its own substream of ``stream`` and runs as one unit of
+    :func:`core.replicate` on up to ``threads`` processes, so the rows do
+    not depend on ``threads``.  The copies' ``unconverged`` and
+    ``fallbacks`` counts are added to ``f``'s.
     """
+    out = replicate(functools.partial(_realization, f, y, m_grid, n_real,
+                                      stream, a, two_sided),
+                    len(m_grid) * n_real, threads)
+    for _, counts in out:
+        for name, count in counts.items():
+            setattr(f, name, getattr(f, name) + count)
     rows = []
-    offset = 0
-    for m in m_grid:
-        vals = np.empty(n_real)
-        for r in range(n_real):
-            est = mc_divergence(f, y, m, stream.child(offset), a=a,
-                                two_sided=two_sided)
-            vals[r] = est.value
-            offset += 1
+    for k, m in enumerate(m_grid):
+        vals = np.array([value for value, _ in
+                         out[k * n_real:(k + 1) * n_real]])
         mean = float(np.mean(vals))
         rows.append({
             "m": int(m),

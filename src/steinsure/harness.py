@@ -9,16 +9,15 @@ tables round-trip through CSV at 17 significant digits.
 
 from __future__ import annotations
 
-import concurrent.futures
+import functools
 import inspect
 import json
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import RegressionProblem, RngStream, sample_variance
+from .core import RegressionProblem, RngStream, replicate, sample_variance
 from . import debias as debias_mod
 from . import divergence_mc, selection, solvers, stein
 
@@ -318,11 +317,14 @@ def experiment_sparse_re(reps: int = 400, seed: int = 1, sigma: float = 1.0,
 
 
 def experiment_mc_divergence(kind: str, seed: int = 1, m_grid=None,
-                             n_real: int = 50) -> dict:
+                             n_real: int = 50, threads: int = 1) -> dict:
     """Probe-count table for the divergence estimator on a fixed dataset.
 
-    ``unconverged`` counts the enet coordinate-descent fits, the base fit and
-    those inside the map, that missed the duality-gap tolerance (0 for svt).
+    The table's realizations run on up to ``threads`` processes; the enet
+    map starts each one from the base fit, so the results do not depend on
+    ``threads``.  ``unconverged`` counts the enet coordinate-descent fits,
+    the base fit and those inside the map, that missed the duality-gap
+    tolerance (0 for svt).
     """
     base = RngStream(seed)
     unconverged = 0
@@ -347,13 +349,13 @@ def experiment_mc_divergence(kind: str, seed: int = 1, m_grid=None,
         base_fit = solvers.fit_lasso(RegressionProblem(x, y), lam, gamma=gamma)
         df_exact = base_fit.df_hat
         unconverged = int(not base_fit.converged)
-        f = divergence_mc.lasso_fitted_map(x, lam, gamma)
+        f = divergence_mc.lasso_fitted_map(x, lam, gamma, start=base_fit)
         if m_grid is None:
             m_grid = (10, 40, 160)
     else:
         raise ValueError("kind must be 'svt' or 'enet'")
     rows = divergence_mc.divergence_table(f, y, df_exact, m_grid, n_real,
-                                          base.child(1), a=a)
+                                          base.child(1), a=a, threads=threads)
     unconverged += getattr(f, "unconverged", 0)
     by_m = {r["m"]: r for r in rows}
     ratios = {}
@@ -365,8 +367,7 @@ def experiment_mc_divergence(kind: str, seed: int = 1, m_grid=None,
             "unconverged": unconverged}
 
 
-def _debias_rep(args):
-    (seed, rep, n, p, s0, lam, sigma, amplitude) = args
+def _debias_rep(seed, n, p, s0, lam, sigma, amplitude, rep):
     base = RngStream(seed, 50000 + 3 * rep)
     x = base.generator().standard_normal((n, p))
     beta = _sparse_beta(p, s0, amplitude)
@@ -389,12 +390,9 @@ def experiment_debias(n: int = 200, p: int = 300, s0: int = 5,
     """
     if lam is None:
         lam = default_lam(n, p, sigma, 1.0)
-    args = [(seed, r, n, p, s0, lam, sigma, 1.0) for r in range(reps)]
-    if threads > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(_debias_rep, args, chunksize=32))
-    else:
-        results = [_debias_rep(a) for a in args]
+    results = replicate(functools.partial(_debias_rep, seed, n, p, s0, lam,
+                                          sigma, 1.0),
+                        reps, threads, chunksize=32)
     pivots = np.array([r[0] for r in results])
     v_stars = np.array([r[1] for r in results])
     check = debias_mod.pivot_variance_check(pivots, v_stars)
@@ -487,9 +485,9 @@ class ExperimentConfig:
     """A named experiment and its keyword parameters.
 
     An unknown kind, a parameter the experiment does not take, fewer than
-    two replications (``reps``) or realizations (``n_real``), and a
-    negative, infinite or NaN ``lam`` raise ValueError here, before
-    anything runs.
+    two replications (``reps``) or realizations (``n_real``), a ``threads``
+    that is not an integer of at least 1, and a negative, infinite or NaN
+    ``lam`` raise ValueError here, before anything runs.
     """
     kind: str
     seed: int = 1
@@ -504,12 +502,14 @@ class ExperimentConfig:
         if unknown:
             raise ValueError("experiment %r takes no parameter %s"
                              % (self.kind, ", ".join(map(repr, unknown))))
-        # a spread needs two replications, or two realizations per table row
-        for name in ("reps", "n_real"):
-            count = self.params.get(name, 2)
-            if not isinstance(count, int) or count < 2:
-                raise ValueError("%s must be an integer of at least 2, not %r"
-                                 % (name, count))
+        # a spread needs two replications, or two realizations per table
+        # row, and a pool at least one worker
+        for name, least in (("reps", 2), ("n_real", 2), ("threads", 1)):
+            count = self.params.get(name, least)
+            if (not isinstance(count, int) or isinstance(count, bool)
+                    or count < least):
+                raise ValueError("%s must be an integer of at least %d, not %r"
+                                 % (name, least, count))
         lam = self.params.get("lam")
         if lam is not None and not 0.0 <= lam < math.inf:
             raise ValueError("lam must be finite and nonnegative, not %r" % lam)
@@ -524,7 +524,17 @@ class ExperimentConfig:
                    params=dict(raw.get("params", {})))
 
 
-def run_experiment(config: ExperimentConfig) -> dict:
+def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
+    """The payload of ``config``'s experiment.
+
+    An experiment that takes ``threads`` runs on ``threads`` workers unless
+    its params name their own count.  Results do not depend on the count,
+    and a count not in the params is not written into the payload, so the
+    payload bytes do not depend on ``threads`` either.
+    """
     fn = EXPERIMENTS[config.kind]
-    results = fn(seed=config.seed, **config.params)
+    params = dict(config.params)
+    if "threads" in inspect.signature(fn).parameters:
+        params.setdefault("threads", threads)
+    results = fn(seed=config.seed, **params)
     return results_payload(config.kind, config.seed, config.params, results)

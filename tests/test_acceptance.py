@@ -6,6 +6,7 @@ errors unless a quantity is exact, in which case 1e-10.
 """
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -143,8 +144,10 @@ def test_acceptance_08_mc_divergence():
         exceed += (e.value - fit.df_hat) ** 2 > 10.0 * 4.0 * n / m
     lasso_ok = exceed <= 1
 
-    svt = harness.experiment_mc_divergence("svt", seed=64)
-    enet = harness.experiment_mc_divergence("enet", seed=65)
+    svt = harness.experiment_mc_divergence("svt", seed=64,
+                                           threads=os.cpu_count())
+    enet = harness.experiment_mc_divergence("enet", seed=65,
+                                            threads=os.cpu_count())
 
     def table_ok(res):
         last = res["rows"][-1]

@@ -1,10 +1,14 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.stats import chi2
 
+from steinsure import core
 from steinsure.core import (RegressionProblem, RngStream, chi_square_cdf,
-                            chi_square_quantile, gaussian_design)
+                            chi_square_quantile, gaussian_design, replicate,
+                            worker_count)
 
 
 def _draw(stream, n):
@@ -93,3 +97,38 @@ def test_chi_square_quantile_small_df_lower_tail():
     # any absolute tolerance; only the relative error shows a bad inverse
     assert chi_square_quantile(0.5, 0.001) == pytest.approx(
         chi2.ppf(0.001, 0.5), rel=1e-10)
+
+
+def test_worker_count_is_bounded():
+    cores = len(os.sched_getaffinity(0))
+    assert worker_count(10**6, 10**6) == cores
+    assert worker_count(10**6, 3) == min(3, cores)
+    assert worker_count(2, 10**6) == min(2, cores)
+    for threads, units in ((1, 10), (0, 10), (-4, 10), (8, 0), (8, 1)):
+        assert worker_count(threads, units) == 1
+
+
+def test_replicate_asks_for_no_more_workers_than_cores(monkeypatch):
+    asked = []
+
+    class Refuse:
+        def __init__(self, workers, **kwargs):
+            asked.append(workers)
+            raise RuntimeError("no pool in this test")
+    monkeypatch.setattr(core.concurrent.futures, "ProcessPoolExecutor", Refuse)
+    cores = len(os.sched_getaffinity(0))
+    if cores == 1:
+        assert replicate(abs, 4, 10**6) == [0, 1, 2, 3]   # in-process
+    else:
+        with pytest.raises(RuntimeError, match="no pool"):
+            replicate(abs, 10**6, 10**6)
+        assert asked == [cores]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_replicate_returns_units_in_index_order(workers):
+    draws = replicate(lambda i: _draw(RngStream(5).child(i), 3), 7, workers,
+                      chunksize=3)
+    assert len(draws) == 7
+    for i, draw in enumerate(draws):
+        np.testing.assert_array_equal(draw, _draw(RngStream(5).child(i), 3))

@@ -194,6 +194,30 @@ def test_divergence_table_deterministic():
     assert all(r["std"] > 0 for r in t1)
 
 
+class _CountingMap:
+    """A linear map that counts its calls in ``fallbacks``."""
+
+    def __init__(self, a):
+        self.a, self.fallbacks = a, 0
+
+    def __call__(self, v):
+        self.fallbacks += 1
+        return self.a @ v
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_divergence_table_sums_the_units_counters(threads):
+    gen = np.random.default_rng(10)
+    a = gen.standard_normal((8, 8)) / 3
+    f = _CountingMap(a)
+    f.fallbacks = 5
+    table = divergence_table(f, np.zeros(8), np.trace(a), (5, 20), 6,
+                             RngStream(11), threads=threads)
+    assert table == divergence_table(lambda v: a @ v, np.zeros(8),
+                                     np.trace(a), (5, 20), 6, RngStream(11))
+    assert f.fallbacks == 5 + 6 * (6 + 21)
+
+
 def _recording(monkeypatch, name):
     """Replace ``solvers.<name>`` by a wrapper that records each call as
     (positional args, output)."""
@@ -205,6 +229,15 @@ def _recording(monkeypatch, name):
         return calls[-1][1]
     monkeypatch.setattr(solvers, name, wrapper)
     return calls
+
+
+def test_enet_table_fits_y_once(monkeypatch):
+    """The map starts every realization from the base fit: f(y) is its
+    certified refit, not a second descent fit per realization."""
+    fits = _recording(monkeypatch, "fit_lasso")
+    res = harness.experiment_mc_divergence("enet", seed=65, m_grid=[4],
+                                           n_real=3)
+    assert len(fits) == 1 and res["unconverged"] == 0
 
 
 def _map_problem(seed, n, p):

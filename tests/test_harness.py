@@ -101,6 +101,19 @@ def test_run_experiment_payload():
     assert out["results"]["reps"] == 50
 
 
+@pytest.mark.parametrize("kind, params", [
+    ("mc_divergence", {"kind": "svt", "m_grid": [4, 16], "n_real": 3}),
+    ("mc_divergence", {"kind": "enet", "m_grid": [4, 16], "n_real": 3}),
+    ("debias", {"n": 40, "p": 30, "s0": 2, "reps": 12}),
+])
+def test_run_experiment_payload_does_not_depend_on_workers(kind, params):
+    config = ExperimentConfig(kind=kind, seed=7, params=params)
+    payloads = [json.dumps(harness._jsonable(run_experiment(config, threads)),
+                           sort_keys=True) for threads in (1, 2)]
+    assert payloads[0] == payloads[1]
+    assert "threads" not in json.loads(payloads[0])["params"]
+
+
 def test_debias_threads_do_not_change_results():
     r1 = harness.experiment_debias(n=40, p=30, s0=2, reps=12, seed=5,
                                    threads=1)
@@ -296,6 +309,14 @@ def test_cli_non_finite_input_is_usage_error(tmp_path):
      "lam must be finite and nonnegative, not -1.0"),
     ({"kind": "debias", "params": {"lam": math.nan}},
      "lam must be finite and nonnegative, not nan"),
+    ({"kind": "debias", "params": {"threads": "2"}},
+     "threads must be an integer of at least 1, not '2'"),
+    ({"kind": "debias", "params": {"threads": 1.5}},
+     "threads must be an integer of at least 1, not 1.5"),
+    ({"kind": "mc_divergence", "params": {"kind": "svt", "threads": 0}},
+     "threads must be an integer of at least 1, not 0"),
+    ({"kind": "debias", "params": {"threads": True}},
+     "threads must be an integer of at least 1, not True"),
 ])
 def test_cli_run_bad_config_is_one_line_usage_error(tmp_path, config,
                                                     message):
@@ -408,11 +429,17 @@ def test_cli_run_unconverged_mc_divergence_exits_2(tmp_path, monkeypatch):
     fit_lasso = cli.solvers.fit_lasso
     monkeypatch.setattr(cli.solvers, "fit_lasso",
                         lambda *a, **k: fit_lasso(*a, **k, max_iter=1))
-    res = runner.invoke(cli.main, ["run", "--config", str(cfgs["enet"])])
-    assert res.exit_code == 2
-    assert "duality-gap tolerance" in res.stderr
-    # the base fit and every coordinate-descent fit inside the map
-    assert json.loads(res.stdout)["results"]["unconverged"] > 1
+    counts = []
+    for threads in ("1", "2"):
+        # forked workers inherit the patched solver; their counts come back
+        res = runner.invoke(cli.main, ["--threads", threads, "run",
+                                       "--config", str(cfgs["enet"])])
+        assert res.exit_code == 2, threads
+        assert "duality-gap tolerance" in res.stderr
+        counts.append(json.loads(res.stdout)["results"]["unconverged"])
+    # the base fit and every coordinate-descent fit inside the map: one per
+    # map evaluation, 2 realizations of 2 probes and the base point
+    assert counts == [1 + 2 * 3] * 2
 
 
 def test_cli_capped_batch_fit_exits_2(tmp_path, monkeypatch):
