@@ -12,9 +12,8 @@ experiment harness with serialization (``harness``).
 from .core import (RegressionProblem, RngStream, chi_square_quantile,
                    gaussian_design)
 from .solvers import (BatchUnconverged, FitResult, KktReport, SvtResult,
-                      check_kkt, fit_lasso, fit_lasso_batch,
-                      lasso_projection, soft_threshold, support_spectrum, svt,
-                      svt_jacobian_eigenvalues)
+                      check_kkt, fit_lasso, fit_lasso_batch, soft_threshold,
+                      support_spectrum, svt, svt_jacobian_eigenvalues)
 from .stein import (ConfidenceInterval, IdentityReport, SureReport,
                     data_driven_confidence, divergence_variance_bound,
                     loss_confidence_region, model_size_ci,

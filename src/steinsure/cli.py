@@ -1,13 +1,13 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 1 on usage errors (including malformed or
-non-finite input files), 2 when a numerical invariant check fails.
+Every command writes its output through ``_emit`` and then exits 2 when a
+numerical invariant failed; a batch fit at its sweep cap exits 2 with no
+output.  Every usage error, a malformed or non-finite input file included,
+is one ``Error:`` line and exit 1.
 """
 
 from __future__ import annotations
 
-import contextlib
-import json
 import math
 import os
 import sys
@@ -35,37 +35,40 @@ def _flatten(obj, prefix=""):
         value, "%s.%s" % (prefix, key) if prefix else str(key))]
 
 
-@contextlib.contextmanager
-def _batch_fits():
-    """Exit 2 with UNCONVERGED when a batch l1 fit reaches its sweep cap;
-    the study then has no results to write."""
-    try:
-        yield
-    except solvers.BatchUnconverged:
-        click.echo(UNCONVERGED, err=True)
-        sys.exit(INVARIANT_FAILURE)
-
-
-def _echo_or_write(payload: dict, out: str | None, fmt: str) -> None:
+def _emit(payload: dict, out: str | None, fmt: str,
+          failure: str | None = None) -> None:
+    """The only writer: ``payload`` as JSON, or its results as flattened CSV,
+    to ``out`` or stdout.  Then, when ``failure`` names a failed invariant,
+    print it and exit 2."""
     if fmt == "json":
-        text = json.dumps(harness._jsonable(payload), sort_keys=True, indent=1,
-                          allow_nan=False)
+        text = harness.payload_json(payload)
     else:
         # a null (non-finite) value is an empty field
         text = "\n".join("%s,%s" % (k, "%.17g" % v if isinstance(v, float)
                                      else "" if v is None else v)
-                         for k, v in _flatten(payload.get("results", payload)))
+                         for k, v in _flatten(payload["results"]))
     if out:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         click.echo(text)
+    if failure:
+        click.echo(failure, err=True)
+        sys.exit(INVARIANT_FAILURE)
 
 
 def _check(ok: bool, message: str) -> None:
-    """Reject bad option values at the boundary: one ``Error:`` line, exit 1."""
+    """Reject bad input at the boundary: one ``Error:`` line, exit 1."""
     if not ok:
         raise click.ClickException(message)
+
+
+def _checked(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``; a ValueError it raises is a usage error."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise click.ClickException(str(exc))
 
 
 def _check_penalty(option: str, value: float) -> None:
@@ -74,21 +77,40 @@ def _check_penalty(option: str, value: float) -> None:
            "%s must be nonnegative and finite, not %r" % (option, value))
 
 
+def _floats(option: str, text: str) -> list:
+    """The entries of a nonempty comma-separated float list."""
+    try:
+        values = [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        values = []
+    _check(values, "%s must be a nonempty comma-separated float list, not %r"
+           % (option, text))
+    return values
+
+
 def _load_matrix(path: str) -> np.ndarray:
     """Read a CSV matrix; malformed or non-finite input is a usage error."""
-    try:
-        return harness.load_matrix_csv(path)
-    except ValueError as exc:
-        raise click.ClickException(str(exc))
+    return _checked(harness.load_matrix_csv, path)
 
 
 def _load_problem(x_path: str, y_path: str, sigma: float) -> RegressionProblem:
-    x = _load_matrix(x_path)
-    y = _load_matrix(y_path).ravel()
+    # a shape mismatch is a usage error too
+    return _checked(RegressionProblem, _load_matrix(x_path),
+                    _load_matrix(y_path).ravel(), sigma)
+
+
+def _study(threads: int, make_config, *args) -> dict:
+    """The payload of the experiment ``make_config(*args)`` on ``threads``
+    workers.  A ValueError or TypeError from the config or the experiment is
+    a usage error; a batch fit at its sweep cap leaves no results, so it
+    exits 2 with no output."""
     try:
-        return RegressionProblem(x, y, sigma)
-    except ValueError as exc:   # the shapes disagree
-        raise click.ClickException(str(exc))
+        return harness.run_experiment(make_config(*args), threads)
+    except (ValueError, TypeError) as exc:
+        raise click.ClickException("bad config: %s" % exc)
+    except solvers.BatchUnconverged:
+        click.echo(UNCONVERGED, err=True)
+        sys.exit(INVARIANT_FAILURE)
 
 
 common = [
@@ -107,7 +129,7 @@ def with_common(fn):
 
 
 @click.group()
-@click.option("--threads", type=int, default=os.cpu_count(),
+@click.option("--threads", type=int, default=os.cpu_count() or 1,
               show_default="logical cores",
               help="Worker processes for `run` of an mc_divergence or debias "
                    "config, at most one per usable core; results do not "
@@ -116,8 +138,9 @@ def with_common(fn):
 @click.pass_context
 def main(ctx, threads):
     """Unbiased risk estimation, second-order refinements, and friends."""
+    _check(threads >= 1, "--threads must be at least 1, not %d" % threads)
     ctx.ensure_object(dict)
-    ctx.obj["threads"] = max(1, threads or 1)
+    ctx.obj["threads"] = threads
 
 
 @main.command("sos-verify")
@@ -125,19 +148,16 @@ def main(ctx, threads):
 @click.option("--reps", type=int, default=20000, show_default=True)
 @click.option("--sigma", type=float, default=1.0, show_default=True)
 @with_common
-def sos_verify(n, reps, sigma, seed, out, fmt):
+@click.pass_context
+def sos_verify(ctx, n, reps, sigma, seed, out, fmt):
     """Monte Carlo check of the second-order identity on the field corpus."""
-    with _batch_fits():
-        res = harness.experiment_sos(reps=reps, seed=seed, sigma=sigma,
-                                     n_list=(n,))
-    payload = harness.results_payload("sos", seed, {"n": n, "reps": reps}, res)
-    _echo_or_write(payload, out, fmt)
+    payload = _study(ctx.obj["threads"], harness.ExperimentConfig, "sos", seed,
+                     {"n_list": [n], "reps": reps, "sigma": sigma})
+    res = payload["results"]
     for name, row in res["fields"].items():
         click.echo("%-24s z=%.3f" % (name, row["z"]), err=True)
-    if res["max_z"] > 4.0:
-        click.echo("identity check failed: max z = %.3f" % res["max_z"],
-                   err=True)
-        sys.exit(INVARIANT_FAILURE)
+    _emit(payload, out, fmt, None if res["max_z"] <= 4.0 else
+          "identity check failed: max z = %.3f" % res["max_z"])
 
 
 def _fit_and_report(name, params, x_path, y_path, lams, gamma, sigma,
@@ -147,11 +167,8 @@ def _fit_and_report(name, params, x_path, y_path, lams, gamma, sigma,
     when any fit missed the duality-gap tolerance."""
     problem = _load_problem(x_path, y_path, sigma)
     fits = [solvers.fit_lasso(problem, lam, gamma=gamma) for lam in lams]
-    _echo_or_write(harness.results_payload(name, seed, params,
-                                           summarize(problem, fits)), out, fmt)
-    if not all(fit.converged for fit in fits):
-        click.echo(UNCONVERGED, err=True)
-        sys.exit(INVARIANT_FAILURE)
+    _emit(harness.results_payload(name, seed, params, summarize(problem, fits)),
+          out, fmt, None if all(fit.converged for fit in fits) else UNCONVERGED)
 
 
 def _fit_command(name, default_gamma, summarize, doc=None):
@@ -229,8 +246,7 @@ def svt_df(x_path, lam, sigma, seed, out, fmt):
                                   res.trace_grad_sq, sigma)
         params["sigma"] = sigma
         results.update(sure=rep.sure, r_hat=rep.r_hat, r_prime=rep.r_prime)
-    _echo_or_write(harness.results_payload("svt_df", seed, params, results),
-                   out, fmt)
+    _emit(harness.results_payload("svt_df", seed, params, results), out, fmt)
 
 
 @main.command("mc-div")
@@ -252,18 +268,16 @@ def mc_div(map_kind, x_path, y_path, lam, gamma, m, step, two_sided,
     _check(m >= 1, "--m must be at least 1, not %d" % m)
     _check(step is None or step > 0, "--step must be positive, not %r" % step)
     if map_kind == "svt":
-        if x_path is None:
-            raise click.UsageError("--map svt requires --X (the matrix)")
+        _check(x_path is not None, "--map svt requires --X (the matrix)")
         y = _load_matrix(x_path)
         f = divergence_mc.svt_map(lam)
     elif map_kind == "soft":
-        if y_path is None:
-            raise click.UsageError("--map soft requires --y")
+        _check(y_path is not None, "--map soft requires --y")
         y = _load_matrix(y_path).ravel()
         f = lambda v: solvers.soft_threshold(v, lam)
     else:
-        if x_path is None or y_path is None:
-            raise click.UsageError("--map %s requires --X and --y" % map_kind)
+        _check(x_path is not None and y_path is not None,
+               "--map %s requires --X and --y" % map_kind)
         x = _load_matrix(x_path)
         y = _load_matrix(y_path).ravel()
         f = divergence_mc.lasso_fitted_map(x, lam, gamma)
@@ -273,10 +287,8 @@ def mc_div(map_kind, x_path, y_path, lam, gamma, m, step, two_sided,
         "map": map_kind, "lam": lam, "gamma": gamma, "m": m,
     }, {"value": est.value, "a": est.a, "se_bound": est.se_bound,
         "empirical_se": est.empirical_se})
-    _echo_or_write(payload, out, fmt)
-    if getattr(f, "unconverged", 0):
-        click.echo(UNCONVERGED, err=True)
-        sys.exit(INVARIANT_FAILURE)
+    _emit(payload, out, fmt,
+          UNCONVERGED if getattr(f, "unconverged", 0) else None)
 
 
 @main.command("tune")
@@ -288,12 +300,7 @@ def mc_div(map_kind, x_path, y_path, lam, gamma, m, step, two_sided,
 @with_common
 def tune(x_path, y_path, lams, sigma, seed, out, fmt):
     """Pick the candidate penalty with the smallest risk estimate."""
-    try:
-        grid = [float(v) for v in lams.split(",") if v.strip()]
-    except ValueError:
-        raise click.UsageError("--lams must be a comma-separated float list")
-    if not grid:
-        raise click.UsageError("--lams must be nonempty")
+    grid = _floats("--lams", lams)
     for lam in grid:
         _check_penalty("--lams", lam)
 
@@ -312,19 +319,16 @@ def tune(x_path, y_path, lams, sigma, seed, out, fmt):
 @click.option("--reps", type=int, default=2000, show_default=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
 @with_common
-def coverage(n, reps, alpha, seed, out, fmt):
+@click.pass_context
+def coverage(ctx, n, reps, alpha, seed, out, fmt):
     """Replication study of the loss confidence regions."""
-    with _batch_fits():
-        res = harness.experiment_coverage(n=n, reps=reps, alpha=alpha,
-                                          seed=seed)
-    payload = harness.results_payload("coverage", seed,
-                                      {"n": n, "reps": reps, "alpha": alpha},
-                                      res)
-    _echo_or_write(payload, out, fmt)
-    if not (res["coverage_two_sided"] >= 1 - alpha - 0.06
-            and res["coverage_one_sided"] >= 1 - alpha - 0.06):
-        click.echo("coverage fell below the tolerated band", err=True)
-        sys.exit(INVARIANT_FAILURE)
+    payload = _study(ctx.obj["threads"], harness.ExperimentConfig, "coverage",
+                     seed, {"n": n, "reps": reps, "alpha": alpha})
+    res = payload["results"]
+    _emit(payload, out, fmt, None if (
+        res["coverage_two_sided"] >= 1 - alpha - 0.06
+        and res["coverage_one_sided"] >= 1 - alpha - 0.06)
+        else "coverage fell below the tolerated band")
 
 
 @main.command("model-size")
@@ -335,14 +339,11 @@ def coverage(n, reps, alpha, seed, out, fmt):
 @with_common
 def model_size(observed, p, alpha, seed, out, fmt):
     """Confidence interval for the expected support size."""
-    try:
-        ci = stein.model_size_ci(observed, p, alpha)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    ci = _checked(stein.model_size_ci, observed, p, alpha)
     payload = harness.results_payload("model_size", seed, {
         "observed": observed, "p": p, "alpha": alpha,
     }, {"lower": ci.lower, "upper": ci.upper, "level": ci.level})
-    _echo_or_write(payload, out, fmt)
+    _emit(payload, out, fmt)
 
 
 @main.command("debias")
@@ -356,28 +357,19 @@ def model_size(observed, p, alpha, seed, out, fmt):
 def debias(x_path, y_path, lam, a0, sigma, seed, out, fmt):
     """De-biased estimate of the contrast <a0, beta>."""
     problem = _load_problem(x_path, y_path, sigma)
-    try:
-        a0_vec = np.array([float(v) for v in a0.split(",") if v.strip()])
-    except ValueError:
-        raise click.UsageError("--a0 must be a comma-separated float list")
-    if a0_vec.size != problem.p:
-        raise click.UsageError("--a0 must have length p = %d" % problem.p)
+    a0_vec = np.array(_floats("--a0", a0))
+    _check(a0_vec.size == problem.p, "--a0 must have length p = %d" % problem.p)
     direction = debias_mod.direction_setup(a0_vec, None, problem.p)
-    try:
-        rep = debias_mod.debias_theta(problem.x, problem.y, lam, direction,
-                                      sigma=sigma)
-    except ValueError as exc:   # collinear selection or too dense a fit
-        raise click.ClickException(str(exc))
+    # a collinear selection or too dense a fit is a usage error
+    rep = _checked(debias_mod.debias_theta, problem.x, problem.y, lam,
+                   direction, sigma=sigma)
     payload = harness.results_payload("debias", seed, {"lam": lam}, {
         "theta_hat": rep.theta_hat, "theta_proj": rep.theta_proj,
         "nu_hat": rep.nu_hat, "b_hat": rep.b_hat, "a_hat": rep.a_hat,
         "frozen_support": rep.frozen_support,
         "note": "theta_hat estimates the contrast scaled by %.17g"
                 % direction.scale})
-    _echo_or_write(payload, out, fmt)
-    if rep.unconverged:
-        click.echo(UNCONVERGED, err=True)
-        sys.exit(INVARIANT_FAILURE)
+    _emit(payload, out, fmt, UNCONVERGED if rep.unconverged else None)
 
 
 @main.command("run")
@@ -387,19 +379,10 @@ def debias(x_path, y_path, lam, a0, sigma, seed, out, fmt):
 @click.pass_context
 def run(ctx, config_path, seed, out, fmt):
     """Run an experiment described by a JSON config file."""
-    try:
-        config = harness.ExperimentConfig.from_json(config_path)
-    except (ValueError, TypeError) as exc:   # JSON, kind, params or reps
-        raise click.ClickException("bad config: %s" % exc)
-    with _batch_fits():
-        payload = harness.run_experiment(config, ctx.obj["threads"])
-    if out:
-        harness.save_results_json(payload, out)
-    else:
-        _echo_or_write(payload, None, fmt)
-    if payload["results"].get("unconverged"):
-        click.echo(UNCONVERGED, err=True)
-        sys.exit(INVARIANT_FAILURE)
+    payload = _study(ctx.obj["threads"], harness.ExperimentConfig.from_json,
+                     config_path)
+    _emit(payload, out, fmt,
+          UNCONVERGED if payload["results"].get("unconverged") else None)
 
 
 if __name__ == "__main__":

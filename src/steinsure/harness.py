@@ -86,11 +86,15 @@ def _jsonable(obj):
     return obj
 
 
+def payload_json(payload: dict) -> str:
+    """The JSON text of a payload: sorted keys, strict JSON (no NaN)."""
+    return json.dumps(_jsonable(payload), sort_keys=True, indent=1,
+                      allow_nan=False)
+
+
 def save_results_json(payload: dict, path: str) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(_jsonable(payload), handle, sort_keys=True, indent=1,
-                  allow_nan=False)
-        handle.write("\n")
+        handle.write(payload_json(payload) + "\n")
 
 
 def results_payload(kind: str, seed: int, params: dict, results: dict) -> dict:
@@ -485,9 +489,11 @@ class ExperimentConfig:
     """A named experiment and its keyword parameters.
 
     An unknown kind, a parameter the experiment does not take, fewer than
-    two replications (``reps``) or realizations (``n_real``), a ``threads``
-    that is not an integer of at least 1, and a negative, infinite or NaN
-    ``lam`` raise ValueError here, before anything runs.
+    two replications (``reps``) or realizations (``n_real``), a ``threads``,
+    size (``n``, ``p``, ``n_cand``) or ``n_list`` entry that is not an
+    integer of at least 1, a negative, infinite or NaN ``lam``, a ``sigma``
+    that is not positive and finite and an ``alpha`` outside (0, 1) raise
+    ValueError here, before anything runs.
     """
     kind: str
     seed: int = 1
@@ -503,9 +509,14 @@ class ExperimentConfig:
             raise ValueError("experiment %r takes no parameter %s"
                              % (self.kind, ", ".join(map(repr, unknown))))
         # a spread needs two replications, or two realizations per table
-        # row, and a pool at least one worker
-        for name, least in (("reps", 2), ("n_real", 2), ("threads", 1)):
-            count = self.params.get(name, least)
+        # row, a pool at least one worker, and a design at least one row,
+        # column and candidate
+        counts = [(name, self.params.get(name, least), least)
+                  for name, least in (("reps", 2), ("n_real", 2),
+                                      ("threads", 1), ("n", 1), ("p", 1),
+                                      ("n_cand", 1))]
+        counts += [("n_list entry", n, 1) for n in self.params.get("n_list", ())]
+        for name, count, least in counts:
             if (not isinstance(count, int) or isinstance(count, bool)
                     or count < least):
                 raise ValueError("%s must be an integer of at least %d, not %r"
@@ -513,6 +524,12 @@ class ExperimentConfig:
         lam = self.params.get("lam")
         if lam is not None and not 0.0 <= lam < math.inf:
             raise ValueError("lam must be finite and nonnegative, not %r" % lam)
+        sigma = self.params.get("sigma", 1.0)
+        if not 0.0 < sigma < math.inf:
+            raise ValueError("sigma must be positive and finite, not %r" % sigma)
+        alpha = self.params.get("alpha", 0.5)
+        if not 0.0 < alpha < 1.0:
+            raise ValueError("alpha must be in (0, 1), not %r" % alpha)
 
     @classmethod
     def from_json(cls, path: str) -> "ExperimentConfig":

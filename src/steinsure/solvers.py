@@ -404,21 +404,6 @@ def _kkt_report(xtr, beta, n_lam, gamma, margin) -> KktReport:
     return KktReport(max_inactive, max_active, margin, strict)
 
 
-def lasso_projection(x: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Orthogonal projection onto the span of the selected columns.
-
-    Rank follows the rule of :func:`support_spectrum`; a rank-deficient
-    selection raises ValueError, since the columns then do not determine
-    the coefficients.
-    """
-    support = np.asarray(support, dtype=int)
-    basis, weights = support_spectrum(x, support, 0.0)
-    if weights.size < support.size:
-        raise ValueError("selected columns are rank deficient (rank %d < %d)"
-                         % (weights.size, support.size))
-    return basis @ basis.T
-
-
 def svt_jacobian_eigenvalues(s, q: int, n: int, lam: float) -> np.ndarray:
     """The q n eigenvalues of the Jacobian of singular value thresholding.
 

@@ -260,6 +260,35 @@ def test_cli_svt_df_sigma_adds_sure_for_sure(tmp_path):
      "--lams must be nonnegative"),
     (["mc-div", "--map", "lasso", "--X", "X", "--y", "y", "--lam", "inf"],
      "--lam must be nonnegative and finite"),
+    (["--threads", "0", "model-size", "--observed", "1", "--p", "5"],
+     "--threads must be at least 1, not 0"),
+    (["--threads", "-5", "model-size", "--observed", "1", "--p", "5"],
+     "--threads must be at least 1, not -5"),
+    (["model-size", "--observed", "10", "--p", "5"],
+     "observed size must lie in [0, p]"),
+    (["tune", "--X", "X", "--y", "y", "--lams", "a,b"],
+     "--lams must be a nonempty comma-separated float list"),
+    (["tune", "--X", "X", "--y", "y", "--lams", ","],
+     "--lams must be a nonempty comma-separated float list"),
+    (["debias", "--X", "X", "--y", "y", "--lam", "0.3", "--a0", "1,x"],
+     "--a0 must be a nonempty comma-separated float list"),
+    (["debias", "--X", "X", "--y", "y", "--lam", "0.3", "--a0", "1,0"],
+     "--a0 must have length p = 8"),
+    (["mc-div", "--map", "svt", "--lam", "1"],
+     "--map svt requires --X (the matrix)"),
+    (["mc-div", "--map", "soft", "--lam", "1"], "--map soft requires --y"),
+    (["mc-div", "--map", "enet", "--y", "y", "--lam", "1"],
+     "--map enet requires --X and --y"),
+    (["coverage", "--n", "50", "--reps", "1"],
+     "bad config: reps must be an integer of at least 2, not 1"),
+    (["coverage", "--n", "50", "--reps", "4", "--alpha", "2"],
+     "bad config: alpha must be in (0, 1), not 2.0"),
+    (["sos-verify", "--n", "5", "--reps", "1"],
+     "bad config: reps must be an integer of at least 2, not 1"),
+    (["sos-verify", "--n", "0", "--reps", "4"],
+     "bad config: n_list entry must be an integer of at least 1, not 0"),
+    (["sos-verify", "--n", "5", "--reps", "4", "--sigma", "nan"],
+     "bad config: sigma must be positive and finite, not nan"),
 ])
 def test_cli_bad_option_values_are_one_line_usage_errors(tmp_path, args,
                                                          message):
@@ -317,6 +346,21 @@ def test_cli_non_finite_input_is_usage_error(tmp_path):
      "threads must be an integer of at least 1, not 0"),
     ({"kind": "debias", "params": {"threads": True}},
      "threads must be an integer of at least 1, not True"),
+    ({"kind": "sos", "params": {"n_list": [5, 0]}},
+     "n_list entry must be an integer of at least 1, not 0"),
+    ({"kind": "unbiasedness", "params": {"p": 0}},
+     "p must be an integer of at least 1, not 0"),
+    ({"kind": "selection", "params": {"n_cand": 0}},
+     "n_cand must be an integer of at least 1, not 0"),
+    ({"kind": "coverage", "params": {"n": 0}},
+     "n must be an integer of at least 1, not 0"),
+    ({"kind": "coverage", "params": {"alpha": 2}},
+     "alpha must be in (0, 1), not 2"),
+    ({"kind": "sos", "params": {"sigma": 0.0}},
+     "sigma must be positive and finite, not 0.0"),
+    # raised by the experiment, not the config
+    ({"kind": "mc_divergence", "params": {"kind": "foo"}},
+     "kind must be 'svt' or 'enet'"),
 ])
 def test_cli_run_bad_config_is_one_line_usage_error(tmp_path, config,
                                                     message):
@@ -342,6 +386,35 @@ def test_cli_run_output_is_byte_identical(tmp_path):
         assert res.exit_code == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def test_cli_run_out_file_takes_the_format(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "unbiasedness", "seed": 5, "params": {
+        "n": 30, "p": 40, "s0": 2, "reps": 50}}))
+    for fmt in ("csv", "json"):
+        out = tmp_path / ("res." + fmt)
+        args = ["run", "--config", str(cfg), "--format", fmt]
+        res = runner.invoke(cli.main, args + ["--out", str(out)])
+        assert res.exit_code == 0 and res.stdout == ""
+        res = runner.invoke(cli.main, args)
+        assert res.exit_code == 0
+        assert out.read_text() == res.stdout
+    assert out.read_text().startswith("{")
+    assert (tmp_path / "res.csv").read_text().startswith("lam,")
+
+
+def test_cli_sos_verify_params_reproduce_the_run(tmp_path):
+    args = ["--n", "5", "--reps", "200", "--sigma", "0.5", "--seed", "3"]
+    res = runner.invoke(cli.main, ["sos-verify"] + args)
+    assert res.exit_code == 0
+    payload = json.loads(res.stdout)
+    assert payload["params"] == {"n_list": [5], "reps": 200, "sigma": 0.5}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "sos", "seed": 3,
+                               "params": payload["params"]}))
+    again = runner.invoke(cli.main, ["run", "--config", str(cfg)])
+    assert again.exit_code == 0 and again.stdout == res.stdout
 
 
 def test_cli_debias(tmp_path):

@@ -7,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from steinsure.core import RegressionProblem, RngStream
 from steinsure import solvers
 from steinsure.solvers import (check_kkt, fit_lasso, fit_lasso_batch,
-                               lasso_projection, soft_threshold, svt,
-                               svt_jacobian_eigenvalues)
+                               soft_threshold, svt, svt_jacobian_eigenvalues)
 
 
 def _problem(seed, n=40, p=60, s0=3, amp=1.0):
@@ -307,22 +306,6 @@ def test_objective_optimality_probe():
             >= base - 1e-12
 
 
-def test_lasso_projection_idempotent():
-    gen = np.random.default_rng(9)
-    x = gen.standard_normal((20, 30))
-    p = lasso_projection(x, np.array([1, 4, 7]))
-    np.testing.assert_allclose(p @ p, p, atol=1e-10)
-    np.testing.assert_allclose(p, p.T, atol=1e-10)
-    assert np.trace(p) == pytest.approx(3.0, abs=1e-9)
-
-
-def test_lasso_projection_rank_deficient_errors():
-    x = np.ones((10, 4))  # duplicated columns
-    with pytest.raises(ValueError):
-        lasso_projection(x, np.array([0, 1]))
-    assert lasso_projection(x, np.array([], dtype=int)).shape == (10, 10)
-
-
 def test_svt_diagonal_example():
     res = svt(np.diag([5.0, 0.5]), 1.0)
     np.testing.assert_allclose(res.matrix, np.diag([4.0, 0.0]), atol=1e-12)
@@ -487,7 +470,7 @@ def test_lasso_df_is_rank_of_selected_columns():
     assert np.trace(jac) == pytest.approx(6.0, abs=1e-9)
     assert fit.df_hat == fit.trace_grad_sq == 6.0
     with pytest.raises(ValueError, match="rank 6 < 7"):
-        lasso_projection(prob.x, fit.support)
+        solvers.refit_gram(xs, 0.0)
 
 
 def _fit_distance_bound(n, gap_a, gap_b):

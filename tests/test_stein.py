@@ -83,8 +83,8 @@ def test_sure_diff_lasso_pair_projection_form():
     x, y, fit1 = _mini_fit(3, lam=0.2)
     fit2 = solvers.fit_lasso(RegressionProblem(x, y), 0.6)
     rep = sure_diff(fit1, fit2, y, 1.0, x=x)
-    p1 = solvers.lasso_projection(x, fit1.support)
-    p2 = solvers.lasso_projection(x, fit2.support)
+    p1 = _explicit_jacobian(x, fit1.support, 0.0)
+    p2 = _explicit_jacobian(x, fit2.support, 0.0)
     t = np.trace((p1 - p2) @ (p1 - p2))
     d = fit1.mu_hat - fit2.mu_hat
     assert rep.r_hat_diff == pytest.approx(4 * d @ d + 4 * t, rel=1e-9)
@@ -120,8 +120,8 @@ def test_projection_cross_traces_match_projections():
     got = stein.projection_cross_traces(x, [a for a, _ in pairs],
                                         [b for _, b in pairs])
     for (a, b), value in zip(pairs, got):
-        p1 = solvers.lasso_projection(x, a)
-        p2 = solvers.lasso_projection(x, b)
+        p1 = _explicit_jacobian(x, a, 0.0)
+        p2 = _explicit_jacobian(x, b, 0.0)
         assert value == pytest.approx(np.trace(p1 @ p2), abs=1e-12)
 
 
