@@ -103,7 +103,8 @@ def test_acceptance_05_confidence_coverage():
 # 6 -------------------------------------------------------------------------
 
 def test_acceptance_06_model_size_variance():
-    res = harness.experiment_model_size(reps=1000, seed=41)
+    res = harness.experiment_model_size(reps=1000, seed=41,
+                                       threads=os.cpu_count())
     ok = res["all_ok"] and res["ortho"]["z"] <= 4.0
     _report("criterion-06 model-size-variance", ok,
             "grid_ok=%s ortho_z=%.2f" % (res["all_ok"], res["ortho"]["z"]))
@@ -112,7 +113,8 @@ def test_acceptance_06_model_size_variance():
 # 7 -------------------------------------------------------------------------
 
 def test_acceptance_07_sparsity_prediction_bound():
-    res = harness.experiment_sparse_re(reps=400, seed=51)
+    res = harness.experiment_sparse_re(reps=400, seed=51,
+                                       threads=os.cpu_count())
     detail = " ".join("s0=%d %.1f<=%.1f" % (r["s0"], r["mean_stat"], r["bound"])
                       for r in res["rows"])
     _report("criterion-07 sparsity-risk-bound", res["all_ok"], detail)
@@ -187,7 +189,8 @@ def test_acceptance_09_debias_pivot():
 # 10 ------------------------------------------------------------------------
 
 def test_acceptance_10_selection():
-    res = harness.experiment_selection(reps=2000, seed=81)
+    res = harness.experiment_selection(reps=2000, seed=81,
+                                       threads=os.cpu_count())
     adv = harness.experiment_adversarial(n=4096, reps=2000, seed=82)
     ok = res["ok"] and adv["gap_frequency"] >= 0.05
     _report("criterion-10 selection", ok,

@@ -105,6 +105,9 @@ def test_run_experiment_payload():
     ("mc_divergence", {"kind": "svt", "m_grid": [4, 16], "n_real": 3}),
     ("mc_divergence", {"kind": "enet", "m_grid": [4, 16], "n_real": 3}),
     ("debias", {"n": 40, "p": 30, "s0": 2, "reps": 12}),
+    ("selection", {"n": 50, "p": 75, "reps": 20}),
+    ("model_size", {"reps": 20}),
+    ("sparse_re", {"n": 60, "p": 60, "reps": 20}),
 ])
 def test_run_experiment_payload_does_not_depend_on_workers(kind, params):
     config = ExperimentConfig(kind=kind, seed=7, params=params)
@@ -112,6 +115,13 @@ def test_run_experiment_payload_does_not_depend_on_workers(kind, params):
                            sort_keys=True) for threads in (1, 2)]
     assert payloads[0] == payloads[1]
     assert "threads" not in json.loads(payloads[0])["params"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_sos_max_z_keeps_a_nan_z_score():
+    # one replication has no spread, so every z-score is NaN
+    res = harness.experiment_sos(reps=1, n_list=(5,))
+    assert math.isnan(res["max_z"])
 
 
 def test_debias_threads_do_not_change_results():
@@ -519,7 +529,14 @@ def test_cli_capped_batch_fit_exits_2(tmp_path, monkeypatch):
     cfg = tmp_path / "selection.json"
     cfg.write_text(json.dumps({"kind": "selection", "params": {
         "n": 50, "p": 75, "reps": 20}}))
+    model_size = tmp_path / "model_size.json"
+    model_size.write_text(json.dumps({"kind": "model_size", "params": {
+        "reps": 20}}))
+    # at two workers the sweep cap is raised in a pool worker and comes
+    # back through pickle as BatchUnconverged
     runs = (["run", "--config", str(cfg)],
+            ["--threads", "2", "run", "--config", str(cfg)],
+            ["--threads", "2", "run", "--config", str(model_size)],
             ["coverage", "--n", "120", "--reps", "4"],
             ["sos-verify", "--n", "10", "--reps", "20"])
     res = runner.invoke(cli.main, runs[0])

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -287,6 +288,37 @@ def test_batch_sweeps_stop_at_max_iter():
             assert 1 <= info.value.unconverged <= ys.shape[0]
         np.testing.assert_allclose(fit_lasso_batch(x, ys, lam, betas0=betas0),
                                    ref, rtol=0, atol=1e-6)
+
+
+def test_batch_unconverged_pickles():
+    # a capped batch fit in a pool worker comes back through pickle
+    err = pickle.loads(pickle.dumps(solvers.BatchUnconverged(3, 7)))
+    assert type(err) is solvers.BatchUnconverged
+    assert (err.unconverged, err.n_iter) == (3, 7)
+    assert str(err) == str(solvers.BatchUnconverged(3, 7))
+
+
+def test_batch_single_rows_and_optimal_warm_rows_equal_scalar_fits():
+    # rows 0 and 1 start at their optimum, beta = 0, so no sweep moves them
+    # and the rank-1 update must leave their residuals as they are; rows 2
+    # and 3 start from perturbed solutions.  Each row alone (R = 1) too
+    gen = np.random.default_rng(0)
+    n, p, lam = 40, 60, 0.2
+    x = gen.standard_normal((n, p))
+    signal = x[:, :3] @ np.array([2.0, -1.5, 1.0])
+    ys = np.vstack([np.zeros(n), 0.01 * gen.standard_normal(n),
+                    signal + gen.standard_normal((2, n))])
+    refs = [fit_lasso(RegressionProblem(x, y), lam) for y in ys]
+    betas0 = np.array([ref.beta for ref in refs])
+    assert not betas0[:2].any() and betas0[2:].any()
+    betas0[2:] += 0.05 * gen.standard_normal((2, p))
+    warm = fit_lasso_batch(x, ys, lam, betas0=betas0)
+    single = np.vstack([fit_lasso_batch(x, y[None, :], lam) for y in ys])
+    for betas in (warm, single):
+        assert not betas[:2].any()
+        for y, beta, ref in zip(ys, betas, refs):
+            np.testing.assert_allclose(beta, ref.beta, rtol=0, atol=1e-9)
+            assert check_kkt(RegressionProblem(x, y), lam, beta).strict
 
 
 def test_objective_optimality_probe():
