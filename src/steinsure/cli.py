@@ -14,6 +14,7 @@ import sys
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .core import RegressionProblem, RngStream
 from . import debias as debias_mod
@@ -131,10 +132,9 @@ def with_common(fn):
 @click.group()
 @click.option("--threads", type=int, default=os.cpu_count() or 1,
               show_default="logical cores",
-              help="Worker processes for `run` of an mc_divergence or debias "
-                   "config, at most one per usable core; results do not "
-                   "depend on it.  The batch replication studies run as one "
-                   "vectorized fit.")
+              help="Worker processes for `run` of an mc_divergence, debias, "
+                   "selection, model_size or sparse_re config, at most one "
+                   "per usable core; results do not depend on it.")
 @click.pass_context
 def main(ctx, threads):
     """Unbiased risk estimation, second-order refinements, and friends."""
@@ -379,6 +379,8 @@ def debias(x_path, y_path, lam, a0, sigma, seed, out, fmt):
 @click.pass_context
 def run(ctx, config_path, seed, out, fmt):
     """Run an experiment described by a JSON config file."""
+    _check(ctx.get_parameter_source("seed") is ParameterSource.DEFAULT,
+           "--seed does not apply to run: the config names the seed")
     payload = _study(ctx.obj["threads"], harness.ExperimentConfig.from_json,
                      config_path)
     _emit(payload, out, fmt,

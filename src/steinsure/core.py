@@ -11,6 +11,9 @@ replications on any number of worker processes.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import ctypes
+import functools
 import math
 import multiprocessing
 import os
@@ -51,11 +54,70 @@ class RngStream:
 _POOL_CONTEXT = multiprocessing.get_context(
     "fork" if sys.platform.startswith("linux") else "spawn")
 _unit = None    # the unit a pool worker runs, set by _install
+# (get, set) thread-count functions of the OpenBLAS builds in the numpy and
+# scipy wheels: numpy's has a 64-bit integer interface with suffixed names
+_BLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS this process has
+    loaded, found in /proc/self/maps at the first call (numpy and
+    scipy.special, imported above, load both wheels' builds); empty where
+    there is none or no such file."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            paths = sorted({line.split()[-1] for line in handle
+                            if "openblas" in line})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        if "openblas" not in os.path.basename(path):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get, set_ in _BLAS_THREAD_SYMBOLS:
+            if hasattr(lib, get) and hasattr(lib, set_):
+                get, set_ = getattr(lib, get), getattr(lib, set_)
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with every loaded OpenBLAS at one thread, then give each
+    back the thread count it had.
+
+    The bits of a BLAS result can depend on its thread count, so this keeps
+    :func:`replicate`'s units on one fixed setting.  Where no OpenBLAS is
+    found it does nothing.
+    """
+    controls = _blas_thread_controls()
+    counts = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, counts):
+            set_(count)
 
 
 def _install(unit) -> None:
     global _unit
     _unit = unit
+    # a worker ends with its pool, so its count needs no giving back
+    for _, set_threads in _blas_thread_controls():
+        set_threads(1)
 
 
 def _run_unit(index: int):
@@ -85,11 +147,14 @@ def replicate(unit, n_units: int, workers: int = 1,
     A unit that keeps counters must return them: a worker's own state does
     not come back.  Where workers are spawned (not on Linux), ``unit`` must
     pickle and the calling script must guard its entry point with
-    ``if __name__ == "__main__"``.
+    ``if __name__ == "__main__"``.  Every unit runs with BLAS at one thread
+    (:func:`one_blas_thread`), in the workers and in this process alike.
     """
     workers = worker_count(workers, n_units)
     if workers == 1:
-        return [unit(i) for i in range(n_units)]
+        with one_blas_thread():
+            return [unit(i) for i in range(n_units)]
+    _blas_thread_controls()     # found once here; forked workers inherit it
     with concurrent.futures.ProcessPoolExecutor(
             workers, mp_context=_POOL_CONTEXT, initializer=_install,
             initargs=(unit,)) as pool:

@@ -438,17 +438,31 @@ def experiment_debias(n: int = 200, p: int = 300, s0: int = 5,
 
 def _selection_fit(x, mu, sigma, ys, lams, k):
     """Candidate ``lams[k]`` on every replication: SURE, support size,
-    distance of the fit to mu and support."""
+    distance of the fit to mu and support mask."""
     rep, _, betas = _lasso_replications(x, mu, float(lams[k]), sigma, ys)
     dists = np.linalg.norm(betas @ x.T - mu[None, :], axis=1)
-    return rep.sure, rep.df_hat, dists, [np.flatnonzero(b) for b in betas]
+    return rep.sure, rep.df_hat, dists, betas != 0.0
 
 
-def _selection_cross(x, supports, others, j0, rep):
-    """tr(P_k P_j0) for every candidate k in ``others``, on replication
-    ``rep``: its reference support is factored once for them all."""
-    return stein.projection_cross_traces(x, [supports[k][rep] for k in others],
-                                         [supports[j0][rep]] * len(others))
+def _cross_traces(x, masks, sizes, others, j0):
+    """tr(P_k P_j0) for every candidate k in ``others`` (rows) and
+    replication (columns), from the (candidate, replication, p) support
+    masks and their sizes.
+
+    When one support contains the other, span inclusion gives P_a P_b =
+    P_a, so the trace is the smaller support's size, the |S| convention of
+    ``sizes``; only the other pairs are factored, by
+    :func:`stein.projection_cross_traces`.
+    """
+    cross = np.minimum(sizes[others], sizes[j0])
+    # nested when the intersection is as large as the smaller support
+    shared = np.count_nonzero(masks[others] & masks[j0], axis=2)
+    ks, reps = np.nonzero(shared != cross)
+    if ks.size:
+        cross[ks, reps] = stein.projection_cross_traces(
+            x, [np.flatnonzero(masks[others[k]][r]) for k, r in zip(ks, reps)],
+            [np.flatnonzero(masks[j0][r]) for r in reps])
+    return cross
 
 
 def experiment_selection(n: int = 100, p: int = 150, s0: int = 5,
@@ -458,9 +472,8 @@ def experiment_selection(n: int = 100, p: int = 150, s0: int = 5,
     """Exceedance of the high-probability tuning bound on an l1 path.
 
     The candidates' fits run one candidate a unit on up to ``threads``
-    workers, then their cross traces against the reference candidate one
-    replication a unit; every unit shares one set of responses, so the
-    results do not depend on ``threads``.
+    workers; every unit shares one set of responses, so the results do not
+    depend on ``threads``.
     """
     base = RngStream(seed)
     x = _design("gauss", n, p, base.child(0))
@@ -475,7 +488,7 @@ def experiment_selection(n: int = 100, p: int = 150, s0: int = 5,
     sures = np.column_stack([f[0] for f in fits])
     sizes = np.array([f[1] for f in fits])
     dists = np.column_stack([f[2] for f in fits])
-    supports = [f[3] for f in fits]
+    masks = np.array([f[3] for f in fits])
 
     j0 = int(np.argmin(np.mean(dists**2, axis=0)))
     picks = np.argmin(sures, axis=1)
@@ -484,9 +497,7 @@ def experiment_selection(n: int = 100, p: int = 150, s0: int = 5,
     # squared-Jacobian traces of candidate-vs-reference differences,
     # tr((P_k - P_j0)^2) = |S_k| + |S_j0| - 2 tr(P_k P_j0)
     others = [k for k in range(n_cand) if k != j0]
-    cross = np.array(replicate(functools.partial(
-        _selection_cross, x, supports, others, j0), reps, threads,
-        chunksize=32)).reshape(reps, len(others)).T
+    cross = _cross_traces(x, masks, sizes, others, j0)
     tr = sizes[others] + sizes[j0] - 2.0 * cross
     s_star = float(np.max(np.mean(tr, axis=1), initial=0.0))
 

@@ -30,6 +30,9 @@ KKT_MARGIN = 1e-6
 SVT_GRAM_TOL = 1e-10
 # most working-set sweeps an l1 round makes before its duality-gap check
 ROUND_SWEEPS = 10
+# most float entries one block of the batch refit holds per array: a row
+# of support size k takes k^2 + n + p of them
+REFIT_BLOCK = 1 << 15
 
 
 def soft_threshold(v, t):
@@ -128,11 +131,12 @@ def _rounds(sweep, coefs, certify, p, cold, max_iter):
 def _jacobian_weights(d2, gamma):
     """Eigenvalues d^2 / (d^2 + gamma) of the fitted-value gradient on S.
 
-    ``d2`` holds the squared singular values of X_S; those at or below
-    RANK_RTOL times the largest count as zero and get weight 0.
+    ``d2`` holds the squared singular values of X_S, or one support a row;
+    those at or below RANK_RTOL times the largest of their row count as zero
+    and get weight 0.
     """
     d2 = np.maximum(d2, 0.0)
-    d2[d2 <= RANK_RTOL * d2.max(initial=0.0)] = 0.0
+    d2[d2 <= RANK_RTOL * d2.max(axis=-1, keepdims=True, initial=0.0)] = 0.0
     # a dropped value gets 0 / (0 + gamma + 1), never 0 / 0
     return d2 / (d2 + gamma + (d2 == 0.0))
 
@@ -308,6 +312,62 @@ class BatchUnconverged(RuntimeError):
         return type(self), (self.unconverged, self.n_iter)
 
 
+def _batch_refit(x, gram, ys, signs, rows, lam, gamma, tol, out):
+    """Refit ``rows`` of ``ys`` on their own supports and ``signs``; write
+    each certified refit into its row of ``out`` and return those rows.
+
+    Row i solves (X_S'X_S + gamma I) b_S = X_S'y_i - n lam s_i, with the
+    Gram block gathered from ``gram`` = X'X.  The refit is certified when b
+    passes the strict test of :func:`_kkt_report` and its duality gap is
+    at most tol[i].  A row with an empty support is not refit, nor, at
+    gamma = 0, one whose X_S fails the rank rule of
+    :func:`support_spectrum`.  Rows are solved in stacks of similar support
+    size, each within REFIT_BLOCK entries per array; padding a support to
+    the stack's size with zero rows and columns, and a unit diagonal for
+    the solve, leaves its solution as it is.
+    """
+    n, p = x.shape
+    sizes = np.count_nonzero(signs[rows], axis=1)
+    # largest supports first, so each stack's first row sets its size; at
+    # gamma = 0 more than n columns are always rank deficient
+    order = np.argsort(-sizes, kind="stable")
+    order = order[(sizes[order] > 0) & ((sizes[order] <= n) | (gamma > 0.0))]
+    certified = []
+    while order.size:
+        k = int(sizes[order[0]])
+        blk, order = np.split(order, [max(1, REFIT_BLOCK // (k * k + n + p))])
+        kb, blk = sizes[blk], rows[blk]
+        s = signs[blk]
+        # each row's support columns in order, then columns off it
+        cols = np.argsort(s == 0, axis=1, kind="stable")[:, :k]
+        pad = np.arange(k) >= kb[:, None]
+        g = gram[cols[:, :, None], cols[:, None, :]]
+        g[pad[:, :, None] | pad[:, None, :]] = 0.0
+        if gamma == 0.0:
+            rank = np.count_nonzero(
+                _jacobian_weights(np.linalg.eigvalsh(g), 0.0), axis=1)
+            full = rank == kb
+            blk, s, cols, pad, g = (blk[full], s[full], cols[full],
+                                    pad[full], g[full])
+            if not blk.size:
+                continue
+        g[:, range(k), range(k)] += np.where(pad, 1.0, gamma)
+        y = ys[blk]
+        rhs = np.take_along_axis(y @ x - n * lam * s, cols, axis=1)
+        rhs[pad] = 0.0
+        beta = np.zeros((blk.size, p))
+        np.put_along_axis(beta, cols,
+                          np.linalg.solve(g, rhs[..., None])[..., 0], axis=1)
+        resid = y - beta @ x.T
+        ok = _kkt_report(resid @ x, beta, n * lam, gamma, KKT_MARGIN).strict
+        if ok.any():
+            ok[ok] = (_dual_gap(x, y[ok], beta[ok], resid[ok], lam, gamma)
+                      <= tol[blk[ok]])
+            out[blk[ok]] = beta[ok]
+            certified.append(blk[ok])
+    return np.concatenate(certified) if certified else rows[:0]
+
+
 def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
                     gamma: float = 0.0, max_iter: int = 2000,
                     tol: float | None = None,
@@ -317,10 +377,13 @@ def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
     Same objective, gap tolerance and round schedule (:func:`_rounds`) as
     :func:`fit_lasso`, vectorized across the rows of ``ys``: the working
     set is the union of the live rows' nonzero columns, and each gap check
-    drops the rows that pass.  A column update is one BLAS rank-1 update
-    of the live rows' residuals.  ``max_iter`` caps the sweeps; rows still
-    above tolerance then raise :class:`BatchUnconverged`.  Pure performance
-    path for replication studies.
+    drops the rows that pass.  A row that fails it is refit on its own
+    support and signs (:func:`_batch_refit`) once those differ from its last
+    refit's, and leaves with the refit when it is certified; every other
+    row continues coordinate descent.  A column update is one BLAS rank-1
+    update of the live rows' residuals.  ``max_iter`` caps the sweeps; rows
+    still above tolerance then raise :class:`BatchUnconverged`.  Pure
+    performance path for replication studies.
     """
     # scipy.linalg takes about 60 ms to import, which only this path needs
     from scipy.linalg.blas import dgemm
@@ -342,9 +405,13 @@ def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
     # live working copies are compacted as replications converge
     bl = betas.copy()
     rl = ys - bl @ x.T if betas0 is not None else ys.copy()
-    yl = ys.copy()
+    yl = ys
     tl = default_tol(ys) if tol is None else np.full(nrep, tol)
     idx = np.arange(nrep)
+    # the signs of each live row's last refit, which failed: a row is
+    # refit again only once its support or signs have changed
+    tried = np.zeros((nrep, p), dtype=np.int8)
+    gram = None     # X'X, formed at the first refit
 
     n_lam = n * lam
 
@@ -377,13 +444,23 @@ def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
         return float(np.max(np.abs(np.concatenate(moves)))) if moves else 0.0
 
     def certify():
-        # drop the live rows whose duality gap passes
-        nonlocal bl, rl, yl, tl, idx
+        # drop the live rows whose duality gap passes, then those whose
+        # refit on their own support and signs is certified
+        nonlocal bl, rl, yl, tl, idx, tried, gram
         done = _dual_gap(x, yl, bl, rl, lam, gamma) <= tl
+        signs = np.sign(bl).astype(np.int8)
+        rows = np.flatnonzero(~done & np.any(signs != tried, axis=1))
+        if rows.size:
+            if gram is None:
+                gram = x.T @ x
+            done[_batch_refit(x, gram, yl, signs, rows, lam, gamma, tl,
+                              bl)] = True
+            tried[rows] = signs[rows]
         if np.any(done):
             betas[idx[done]] = bl[done]
             keep = ~done
-            bl, rl, yl, tl, idx = bl[keep], rl[keep], yl[keep], tl[keep], idx[keep]
+            bl, rl, yl, tl, idx, tried = (bl[keep], rl[keep], yl[keep],
+                                          tl[keep], idx[keep], tried[keep])
         return not idx.size
 
     it = _rounds(sweep, lambda: bl, certify, p, betas0 is None, max_iter)
@@ -411,14 +488,19 @@ def check_kkt(problem: RegressionProblem, lam: float, beta: np.ndarray, *,
 
 
 def _kkt_report(xtr, beta, n_lam, gamma, margin) -> KktReport:
-    """check_kkt of ``beta`` from xtr = X'(y - X beta) and n_lam = n lam."""
+    """check_kkt of ``beta`` from xtr = X'(y - X beta) and n_lam = n lam;
+    with one fit a row of ``xtr`` and ``beta``, its fields are arrays, one
+    entry a row."""
     corr = (xtr - gamma * beta) / n_lam
     active = beta != 0.0
-    max_inactive = float(np.max(np.abs(corr[~active]))) if np.any(~active) else 0.0
-    max_active = (float(np.max(np.abs(corr[active] - np.sign(beta[active]))))
-                  if np.any(active) else 0.0)
-    strict = max_inactive <= 1.0 - margin and max_active <= margin
-    return KktReport(max_inactive, max_active, margin, strict)
+    max_inactive = np.max(np.abs(corr), axis=-1, where=~active, initial=0.0)
+    max_active = np.max(np.abs(corr - np.sign(beta)), axis=-1, where=active,
+                        initial=0.0)
+    strict = (max_inactive <= 1.0 - margin) & (max_active <= margin)
+    if strict.ndim:
+        return KktReport(max_inactive, max_active, margin, strict)
+    return KktReport(float(max_inactive), float(max_active), margin,
+                     bool(strict))
 
 
 def svt_jacobian_eigenvalues(s, q: int, n: int, lam: float) -> np.ndarray:

@@ -1,4 +1,7 @@
+import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -132,3 +135,54 @@ def test_replicate_returns_units_in_index_order(workers):
     assert len(draws) == 7
     for i, draw in enumerate(draws):
         np.testing.assert_array_equal(draw, _draw(RngStream(5).child(i), 3))
+
+
+def _blas_counts():
+    return [get() for get, _ in core._blas_thread_controls()]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_replicate_runs_units_at_one_blas_thread_and_restores_the_count(
+        workers):
+    before = _blas_counts()
+    if not before:
+        pytest.skip("no OpenBLAS found in this process")
+    try:
+        for _, set_threads in core._blas_thread_controls():
+            set_threads(2)
+        caller = _blas_counts()
+        if max(caller) == 1:
+            pytest.skip("BLAS runs one thread here")
+        assert replicate(lambda i: _blas_counts(), 3, workers) == [
+            [1] * len(caller)] * 3
+        assert _blas_counts() == caller
+        # a unit that raises gives the count back too
+        with pytest.raises(ZeroDivisionError):
+            replicate(lambda i: 1 / 0, 1, 1)
+        assert _blas_counts() == caller
+    finally:
+        for (_, set_threads), count in zip(core._blas_thread_controls(),
+                                           before):
+            set_threads(count)
+
+
+def test_replicate_output_does_not_depend_on_the_blas_environment():
+    # the svt probe table's eigen-solves change bits with the BLAS thread
+    # count; at one worker its units run in this process, at two in a pool
+    code = ("import json\n"
+            "from steinsure import harness\n"
+            "print(json.dumps([harness.payload_json("
+            "harness.experiment_mc_divergence('svt', seed=7, m_grid=(4, 16), "
+            "n_real=6, threads=threads)) for threads in (1, 2)]))")
+    outs = []
+    for pin in (None, "1"):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS",
+                            "OMP_NUM_THREADS")}
+        env["PYTHONPATH"] = os.path.dirname(os.path.dirname(core.__file__))
+        if pin:
+            env["OPENBLAS_NUM_THREADS"] = pin
+        outs.append(json.loads(subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True).stdout))
+    assert outs[0][0] == outs[0][1] == outs[1][0] == outs[1][1]

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from steinsure import cli, harness, solvers
+from steinsure import cli, harness, solvers, stein
 from steinsure.harness import (ExperimentConfig, load_matrix_csv,
                                results_payload, run_experiment,
                                save_matrix_csv, save_results_json)
@@ -131,6 +131,43 @@ def test_debias_threads_do_not_change_results():
                                    threads=2)
     for k in ("pivot_var", "v_star_mean", "theta_hat_mean"):
         assert r1[k] == r2[k]
+
+
+def test_selection_nested_cross_traces_equal_the_factored_ones(monkeypatch):
+    # the selection study's candidates on 40 replications: nested pairs
+    # take |S_small| in closed form, and only the others are factored
+    base = harness.RngStream(4)
+    n, p, n_cand = 50, 75, 8
+    x = harness._design("gauss", n, p, base.child(0))
+    mu = x @ harness._sparse_beta(p, 5, 0.6)
+    ys = harness._responses(mu, 1.0, 40, base.child(1))
+    lams = harness.default_lam(n, p, 1.0) * np.geomspace(0.4, 2.2, n_cand)
+    fits = [harness._selection_fit(x, mu, 1.0, ys, lams, k)
+            for k in range(n_cand)]
+    sizes = np.array([f[1] for f in fits])
+    masks = np.array([f[3] for f in fits])
+    # the middle candidate as reference, and one pair made disjoint
+    j0, others = 3, [0, 1, 2, 4, 5, 6, 7]
+    masks[0][0] = False
+    masks[0][0][np.flatnonzero(~masks[j0][0])[:3]] = True
+    sizes[0, 0] = 3.0
+    factored = []
+    traces = stein.projection_cross_traces
+    monkeypatch.setattr(stein, "projection_cross_traces",
+                        lambda x, a, b: factored.extend(zip(a, b))
+                        or traces(x, a, b))
+    cross = harness._cross_traces(x, masks, sizes, others, j0)
+    sups = [[np.flatnonzero(m) for m in masks[k]] for k in range(n_cand)]
+    nested = np.array([[set(a) <= set(b) or set(b) <= set(a)
+                        for a, b in zip(sups[k], sups[j0])] for k in others])
+    assert nested.sum() > 100 and not nested[0, 0]
+    assert len(factored) == np.count_nonzero(~nested)
+    for i, k in enumerate(others):
+        want = traces(x, sups[k], sups[j0])
+        np.testing.assert_allclose(cross[i], want, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(
+            cross[i][nested[i]],
+            np.minimum(sizes[k], sizes[j0])[nested[i]])
 
 
 # -------------------------------------------------------------------- cli
@@ -319,6 +356,25 @@ def test_cli_run_config(tmp_path):
     assert res.exit_code == 0
     payload = json.loads(open(out).read())
     assert payload["kind"] == "sos"
+
+
+@pytest.mark.parametrize("seed", ["99", "3", "1"])
+def test_cli_run_rejects_an_explicit_seed(tmp_path, seed):
+    # the config names the seed, so an explicit --seed, even one equal to
+    # the config's or to the default, is an error rather than ignored
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "sos", "seed": 3,
+                               "params": {"reps": 50, "n_list": [5]}}))
+    res = runner.invoke(cli.main, ["run", "--config", str(cfg),
+                                   "--seed", seed])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)   # no traceback
+    assert res.stdout == ""
+    assert res.stderr.strip().splitlines() == [
+        "Error: --seed does not apply to run: the config names the seed"]
+    res = runner.invoke(cli.main, ["run", "--config", str(cfg)])
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["seed"] == 3
 
 
 def test_cli_non_finite_input_is_usage_error(tmp_path):
@@ -537,7 +593,8 @@ def test_cli_capped_batch_fit_exits_2(tmp_path, monkeypatch):
     runs = (["run", "--config", str(cfg)],
             ["--threads", "2", "run", "--config", str(cfg)],
             ["--threads", "2", "run", "--config", str(model_size)],
-            ["coverage", "--n", "120", "--reps", "4"],
+            # 100 rows: at one sweep the refit certifies 95 of them
+            ["coverage", "--n", "120", "--reps", "100"],
             ["sos-verify", "--n", "10", "--reps", "20"])
     res = runner.invoke(cli.main, runs[0])
     assert res.exit_code == 0 and res.stderr == ""

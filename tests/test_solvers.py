@@ -205,10 +205,13 @@ def test_batch_mixed_rows_equal_scalar_fits(seed, n, p, gamma, near, dense,
 
 
 def _capped_problem():
+    # at 0.04 lam_max the supports settle late: no batch refit passes the
+    # KKT test within 23 sweeps of a cold call (all rows are certified after
+    # 54, the scalar fits take 143-297), so no cap below ends in a refit
     gen = np.random.default_rng(11)
     x = gen.standard_normal((50, 80))
     ys = x[:, :5] @ np.ones(5) + gen.standard_normal((3, 50))
-    lam = 0.1 * float(np.max(np.abs(ys[0] @ x))) / 50
+    lam = 0.04 * float(np.max(np.abs(ys[0] @ x))) / 50
     return x, ys, lam
 
 
@@ -275,7 +278,7 @@ def test_both_kernels_check_the_gap_every_round(monkeypatch):
 def test_batch_sweeps_stop_at_max_iter():
     # max_iter counts sweeps, the regrowing full sweep included: a cold call
     # makes sweep 1 full, 2-11 on the working set and 12 full again; both
-    # starts need over 50 sweeps here
+    # starts need over 40 sweeps here
     x, ys, lam = _capped_problem()
     ref = fit_lasso_batch(x, ys, lam)
     gen = np.random.default_rng(12)
@@ -319,6 +322,95 @@ def test_batch_single_rows_and_optimal_warm_rows_equal_scalar_fits():
         for y, beta, ref in zip(ys, betas, refs):
             np.testing.assert_allclose(beta, ref.beta, rtol=0, atol=1e-9)
             assert check_kkt(RegressionProblem(x, y), lam, beta).strict
+
+
+def _refit_problem():
+    # the selection study's shape at its smallest penalty: 12 rows whose
+    # supports settle long before coordinate descent reaches the gap
+    gen = np.random.default_rng(21)
+    n, p = 100, 150
+    x = gen.standard_normal((n, p))
+    ys = x[:, :5] @ np.full(5, 0.6) + gen.standard_normal((12, n))
+    return x, ys, 0.4 * math.sqrt(2 * math.log(p) / n)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 2.0])
+def test_batch_refit_finishes_rows_in_fewer_sweeps(monkeypatch, gamma):
+    x, ys, lam = _refit_problem()
+    sweeps, certified = [], []
+    rounds, refit = solvers._rounds, solvers._batch_refit
+    monkeypatch.setattr(solvers, "_rounds",
+                        lambda *args: sweeps.append(rounds(*args))
+                        or sweeps[-1])
+
+    def recording_refit(*args):
+        rows = refit(*args)
+        certified.append(rows.size)
+        return rows
+    monkeypatch.setattr(solvers, "_batch_refit", recording_refit)
+    betas = fit_lasso_batch(x, ys, lam, gamma=gamma)
+    assert sum(certified) > 0
+    for y, beta in zip(ys, betas):
+        prob = RegressionProblem(x, y)
+        np.testing.assert_allclose(
+            beta, fit_lasso(prob, lam, gamma=gamma).beta, rtol=0, atol=1e-9)
+        assert check_kkt(prob, lam, beta, gamma=gamma).strict
+        assert solvers._dual_gap(x, y, beta, y - x @ beta, lam, gamma) \
+            <= solvers.default_tol(y)
+    # the same call with no row ever certified by its refit
+    monkeypatch.setattr(solvers, "_batch_refit",
+                        lambda *args: np.zeros(0, dtype=int))
+    descent = fit_lasso_batch(x, ys, lam, gamma=gamma)
+    np.testing.assert_allclose(betas, descent, rtol=0, atol=1e-9)
+    assert sweeps[0] < sweeps[1]
+
+
+@pytest.mark.parametrize("gamma", [0.0, 2.0])
+def test_batch_refit_keeps_only_certified_rows(gamma):
+    # on the solutions' own signs every refit is certified and equals the
+    # solution; a flipped sign, an extra column or a dropped one fails the
+    # strict KKT test, and its row is left as it was
+    x, ys, lam = _refit_problem()
+    betas = fit_lasso_batch(x, ys, lam, gamma=gamma)
+    signs = np.sign(betas).astype(np.int8)
+    on, off = np.flatnonzero(signs[0]), np.flatnonzero(signs[1] == 0)
+    signs[0, on[0]] *= -1
+    signs[1, off[0]] = 1
+    signs[2, np.flatnonzero(signs[2])[-1]] = 0
+    out = np.zeros_like(betas)
+    rows = solvers._batch_refit(x, x.T @ x, ys, signs, np.arange(len(ys)),
+                                lam, gamma, solvers.default_tol(ys), out)
+    np.testing.assert_array_equal(np.sort(rows), np.arange(3, len(ys)))
+    assert not out[:3].any()
+    np.testing.assert_allclose(out[3:], betas[3:], rtol=0, atol=1e-9)
+
+
+def test_batch_refit_skips_a_collinear_support(monkeypatch):
+    # columns 2 and 5 coincide and the warm start splits the weight over
+    # both, so at gamma = 0 that row's support is rank deficient: its refit
+    # is never solved, and descent alone finishes it as the scalar fit does
+    solved = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: solved.append(a.shape) or solve(a, b))
+    prob = _duplicated_column_problem()
+    cold = fit_lasso(prob, 0.1)
+    beta0 = cold.beta.copy()
+    beta0[[2, 5]] = (cold.beta[2] + cold.beta[5]) / 2
+    beta0 += 1e-3 * (beta0 != 0.0)
+    ys = prob.y[None, :]
+    signs = np.sign(beta0).astype(np.int8)[None, :]
+    out = np.zeros((1, prob.p))
+    rows = solvers._batch_refit(prob.x, prob.x.T @ prob.x, ys, signs,
+                                np.array([0]), 0.1, 0.0,
+                                solvers.default_tol(ys), out)
+    assert not rows.size and not out.any() and not solved
+    warm = fit_lasso(prob, 0.1, beta0=beta0)
+    batch = fit_lasso_batch(prob.x, ys, 0.1, betas0=beta0[None, :])[0]
+    assert warm.converged and {2, 5} <= set(np.flatnonzero(batch).tolist())
+    assert not solved
+    np.testing.assert_allclose(batch, warm.beta, rtol=0, atol=1e-9)
+    assert check_kkt(prob, 0.1, batch).strict
 
 
 def test_objective_optimality_probe():
