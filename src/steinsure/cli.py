@@ -14,7 +14,6 @@ import sys
 
 import click
 import numpy as np
-from click.core import ParameterSource
 
 from .core import RegressionProblem, RngStream
 from . import debias as debias_mod
@@ -114,8 +113,7 @@ def _study(threads: int, make_config, *args) -> dict:
         sys.exit(INVARIANT_FAILURE)
 
 
-common = [
-    click.option("--seed", type=int, default=1, show_default=True),
+output_options = [
     click.option("--out", type=click.Path(), default=None,
                  help="Write output to this file instead of stdout."),
     click.option("--format", "fmt", type=click.Choice(["json", "csv"]),
@@ -123,10 +121,15 @@ common = [
 ]
 
 
-def with_common(fn):
-    for opt in reversed(common):
+def with_output(fn):
+    for opt in reversed(output_options):
         fn = opt(fn)
     return fn
+
+
+def with_common(fn):
+    return click.option("--seed", type=int, default=1,
+                        show_default=True)(with_output(fn))
 
 
 @click.group()
@@ -375,12 +378,11 @@ def debias(x_path, y_path, lam, a0, sigma, seed, out, fmt):
 @main.command("run")
 @click.option("--config", "config_path", type=click.Path(exists=True),
               required=True)
-@with_common
+@with_output
 @click.pass_context
-def run(ctx, config_path, seed, out, fmt):
-    """Run an experiment described by a JSON config file."""
-    _check(ctx.get_parameter_source("seed") is ParameterSource.DEFAULT,
-           "--seed does not apply to run: the config names the seed")
+def run(ctx, config_path, out, fmt):
+    """Run an experiment described by a JSON config file, which names the
+    seed."""
     payload = _study(ctx.obj["threads"], harness.ExperimentConfig.from_json,
                      config_path)
     _emit(payload, out, fmt,

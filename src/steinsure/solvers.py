@@ -28,8 +28,10 @@ RANK_RTOL = 1e-12
 KKT_MARGIN = 1e-6
 # largest a-priori error bound that _svt_gram accepts
 SVT_GRAM_TOL = 1e-10
-# most working-set sweeps an l1 round makes before its duality-gap check
-ROUND_SWEEPS = 10
+# most working-set sweeps an l1 round makes before its finish check; the
+# fixed-sign refit ends a fit soon after its support settles, and longer
+# rounds mostly polish settled supports
+ROUND_SWEEPS = 2
 # most float entries one block of the batch refit holds per array: a row
 # of support size k takes k^2 + n + p of them
 REFIT_BLOCK = 1 << 15
@@ -105,9 +107,13 @@ def _rounds(sweep, coefs, certify, p, cold, max_iter):
     columns of ``coefs()`` (all columns when there are none; the union over
     rows when it stacks fits) at most ROUND_SWEEPS times, stopping once
     ``sweep(cols)`` returns a largest move of at most 1e-14 (1 + max|coefs()|).
-    ``certify()`` then checks the duality gap; unless it passes or
-    ``max_iter`` sweeps are spent, a full sweep regrows the set (Friedman,
-    Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)).
+    ``certify()`` then applies the one finish rule of both kernels: a fit
+    ends when its duality gap is within tolerance, or when the fixed-sign
+    refit on its current support and signs passes the strict KKT test and
+    has its gap within tolerance.  The refit is tried again only once the
+    support or signs have changed.  Unless the fit ends or ``max_iter``
+    sweeps are spent, a full sweep regrows the set (Friedman, Hastie &
+    Tibshirani 2010, J. Stat. Softw. 33(1)).
     """
     full = list(range(p))
     it = 0
@@ -238,10 +244,13 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
     """Cyclic coordinate descent for the (optionally ridged) l1 objective.
 
     ``lam = 0`` with ``gamma = 0`` falls back to least squares; ``lam = 0``
-    with ``gamma > 0`` is plain ridge.  Convergence is declared when the
-    duality gap falls below ``tol`` (default 1e-10 * (1 + ||y||^2/n)).
-    The sweeps follow the round schedule of :func:`_rounds`, and
-    ``max_iter`` caps them.
+    with ``gamma > 0`` is plain ridge.  The sweeps follow the round
+    schedule of :func:`_rounds`, and ``max_iter`` caps them.  A fit ends by
+    the finish rule of :func:`_rounds`, with ``tol`` (default
+    1e-10 * (1 + ||y||^2/n)) as the gap tolerance: on its duality gap, or
+    on :func:`certified_refit` over a Gram matrix from :func:`refit_gram`,
+    so that at gamma = 0 a collinear support is never refit.  ``n_iter``
+    counts the sweeps alone; ``gap`` is that of the returned beta.
     """
     x, y = problem.x, problem.y
     n, p = x.shape
@@ -287,11 +296,38 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
         return moved
 
     gap = math.inf
+    # the signs of the last refit, which failed: the fit is refit again
+    # only once its support or signs have changed
+    tried = np.zeros(p)
 
     def certify():
-        nonlocal gap
+        # the duality gap, then the refit on the current support and signs
+        nonlocal gap, resid, tried
         gap = float(_dual_gap(x, y, beta, resid, lam, gamma))
-        return gap <= tol
+        if gap <= tol:
+            return True
+        signs = np.sign(beta)
+        if np.array_equal(signs, tried):
+            return False
+        tried = signs
+        support = np.flatnonzero(signs)
+        xs = x[:, support]
+        try:
+            gram = refit_gram(xs, gamma)
+        except ValueError:   # collinear l1 support: no unique refit
+            return False
+        bs = certified_refit(xs, y, support, signs[support], lam, gram,
+                             lambda r: x.T @ r, gamma=gamma)
+        if bs is None:
+            return False
+        refit = np.zeros(p)
+        refit[support] = bs
+        r = y - xs @ bs
+        g = float(_dual_gap(x, y, refit, r, lam, gamma))
+        if g > tol:
+            return False
+        beta[:], resid, gap = refit, r, g
+        return True
 
     it = _rounds(sweep, lambda: beta, certify, p, beta0 is None, max_iter)
     return _finish(x, y, beta, lam, gamma, gap, it, bool(gap <= tol))
@@ -374,16 +410,16 @@ def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
                     betas0: np.ndarray | None = None) -> np.ndarray:
     """Solve many l1 problems sharing one design; returns the (R, p) betas.
 
-    Same objective, gap tolerance and round schedule (:func:`_rounds`) as
-    :func:`fit_lasso`, vectorized across the rows of ``ys``: the working
-    set is the union of the live rows' nonzero columns, and each gap check
-    drops the rows that pass.  A row that fails it is refit on its own
-    support and signs (:func:`_batch_refit`) once those differ from its last
-    refit's, and leaves with the refit when it is certified; every other
-    row continues coordinate descent.  A column update is one BLAS rank-1
-    update of the live rows' residuals.  ``max_iter`` caps the sweeps; rows
-    still above tolerance then raise :class:`BatchUnconverged`.  Pure
-    performance path for replication studies.
+    Same objective, gap tolerance, round schedule and finish rule
+    (:func:`_rounds`) as :func:`fit_lasso`, vectorized across the rows of
+    ``ys``: the working set is the union of the live rows' nonzero
+    columns, and each gap check drops the rows that end, by their gap or
+    by their refit, solved for all failing rows at once
+    (:func:`_batch_refit`); every other row continues coordinate descent.
+    A column update is one BLAS rank-1 update of the live rows' residuals.
+    ``max_iter`` caps the sweeps; rows still above tolerance then raise
+    :class:`BatchUnconverged`.  Pure performance path for replication
+    studies.
     """
     # scipy.linalg takes about 60 ms to import, which only this path needs
     from scipy.linalg.blas import dgemm

@@ -360,21 +360,31 @@ def test_cli_run_config(tmp_path):
 
 @pytest.mark.parametrize("seed", ["99", "3", "1"])
 def test_cli_run_rejects_an_explicit_seed(tmp_path, seed):
-    # the config names the seed, so an explicit --seed, even one equal to
-    # the config's or to the default, is an error rather than ignored
+    # the config names the seed, so run has no --seed: an explicit one,
+    # even one equal to the config's or to the default, is a usage error
+    # rather than ignored
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "sos", "seed": 3,
                                "params": {"reps": 50, "n_list": [5]}}))
-    res = runner.invoke(cli.main, ["run", "--config", str(cfg),
-                                   "--seed", seed])
+    res = runner.invoke(cli.main, ["run", "--seed", seed, "--config",
+                                   str(cfg)])
     assert res.exit_code == 1
     assert isinstance(res.exception, SystemExit)   # no traceback
     assert res.stdout == ""
-    assert res.stderr.strip().splitlines() == [
-        "Error: --seed does not apply to run: the config names the seed"]
+    assert [line for line in res.stderr.splitlines()
+            if line.startswith("Error:")] == [
+        "Error: No such option '--seed'."]
     res = runner.invoke(cli.main, ["run", "--config", str(cfg)])
     assert res.exit_code == 0
     assert json.loads(res.stdout)["seed"] == 3
+
+
+def test_cli_run_help_lists_no_seed():
+    res = runner.invoke(cli.main, ["run", "--help"])
+    assert res.exit_code == 0
+    assert "--config" in res.stdout and "--seed" not in res.stdout
+    res = runner.invoke(cli.main, ["lasso", "--help"])
+    assert "--seed" in res.stdout
 
 
 def test_cli_non_finite_input_is_usage_error(tmp_path):
@@ -547,9 +557,11 @@ def test_cli_unconverged_fit_exits_2(tmp_path, monkeypatch):
         assert res.exit_code == 2, args
         assert "duality-gap tolerance" in res.stderr
         assert json.loads(res.stdout)["kind"] == args[0]
+    # at the default lam of this shape the fixed-sign refit certifies every
+    # fit after one sweep; at lam = 0.05 the support of one sweep is wrong
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "debias", "params": {
-        "n": 40, "p": 30, "s0": 2, "reps": 4, "threads": 1}}))
+        "n": 40, "p": 30, "s0": 2, "reps": 4, "lam": 0.05, "threads": 1}}))
     res = runner.invoke(cli.main, ["run", "--config", str(cfg)])
     assert res.exit_code == 2
     assert "duality-gap tolerance" in res.stderr

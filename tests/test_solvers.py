@@ -205,9 +205,10 @@ def test_batch_mixed_rows_equal_scalar_fits(seed, n, p, gamma, near, dense,
 
 
 def _capped_problem():
-    # at 0.04 lam_max the supports settle late: no batch refit passes the
-    # KKT test within 23 sweeps of a cold call (all rows are certified after
-    # 54, the scalar fits take 143-297), so no cap below ends in a refit
+    # at 0.04 lam_max the supports settle late: no batch row ends within 31
+    # sweeps of a cold call (all rows have ended after 52), and the scalar
+    # fits take 33-54 sweeps cold and 11-32 from the warm start at 3 lam,
+    # none ending before sweep 9, so no cap below ends in a refit
     gen = np.random.default_rng(11)
     x = gen.standard_normal((50, 80))
     ys = x[:, :5] @ np.ones(5) + gen.standard_normal((3, 50))
@@ -220,7 +221,7 @@ def test_fit_lasso_stops_at_max_iter():
     prob = RegressionProblem(x, ys[0])
     warm = fit_lasso(prob, 3.0 * lam).beta
     for beta0 in (None, warm):
-        for max_iter in (1, 2, 3, 11, 12, 13):
+        for max_iter in (1, 2, 3, 4, 5, 6):
             fit = fit_lasso(prob, lam, beta0=beta0, max_iter=max_iter)
             # as in the batch kernel, a cold call here never stops a round
             # early, so it spends every sweep
@@ -277,8 +278,8 @@ def test_both_kernels_check_the_gap_every_round(monkeypatch):
 
 def test_batch_sweeps_stop_at_max_iter():
     # max_iter counts sweeps, the regrowing full sweep included: a cold call
-    # makes sweep 1 full, 2-11 on the working set and 12 full again; both
-    # starts need over 40 sweeps here
+    # makes sweep 1 full, 2-3 on the working set, 4 full again, and so on;
+    # both starts need over 40 sweeps here
     x, ys, lam = _capped_problem()
     ref = fit_lasso_batch(x, ys, lam)
     gen = np.random.default_rng(12)
@@ -362,7 +363,8 @@ def test_batch_refit_finishes_rows_in_fewer_sweeps(monkeypatch, gamma):
                         lambda *args: np.zeros(0, dtype=int))
     descent = fit_lasso_batch(x, ys, lam, gamma=gamma)
     np.testing.assert_allclose(betas, descent, rtol=0, atol=1e-9)
-    assert sweeps[0] < sweeps[1]
+    # the scalar fits in between run the round driver too
+    assert sweeps[0] < sweeps[-1]
 
 
 @pytest.mark.parametrize("gamma", [0.0, 2.0])
@@ -388,13 +390,15 @@ def test_batch_refit_keeps_only_certified_rows(gamma):
 def test_batch_refit_skips_a_collinear_support(monkeypatch):
     # columns 2 and 5 coincide and the warm start splits the weight over
     # both, so at gamma = 0 that row's support is rank deficient: its refit
-    # is never solved, and descent alone finishes it as the scalar fit does
+    # is never solved, and descent alone finishes it as the scalar fit does.
+    # The cold fit, whose support is not collinear, may end on a refit, so
+    # it comes before the spy
+    prob = _duplicated_column_problem()
+    cold = fit_lasso(prob, 0.1)
     solved = []
     solve = np.linalg.solve
     monkeypatch.setattr(np.linalg, "solve",
                         lambda a, b: solved.append(a.shape) or solve(a, b))
-    prob = _duplicated_column_problem()
-    cold = fit_lasso(prob, 0.1)
     beta0 = cold.beta.copy()
     beta0[[2, 5]] = (cold.beta[2] + cold.beta[5]) / 2
     beta0 += 1e-3 * (beta0 != 0.0)
@@ -411,6 +415,133 @@ def test_batch_refit_skips_a_collinear_support(monkeypatch):
     assert not solved
     np.testing.assert_allclose(batch, warm.beta, rtol=0, atol=1e-9)
     assert check_kkt(prob, 0.1, batch).strict
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from([(40, 60), (100, 150), (200, 300)]),
+       frac=st.floats(0.05, 0.6), gamma=st.sampled_from([0.0, 0.7]))
+def test_scalar_finish_equals_the_batch_row(seed, shape, frac, gamma):
+    # both kernels end a fit on its gap or on the same certified refit, so
+    # the scalar fit is its batch row up to rounding; lam runs down to 0.05
+    # lam_max, where the refit ends most fits
+    n, p = shape
+    gen = np.random.default_rng(seed)
+    x = gen.standard_normal((n, p))
+    ys = x[:, :5] @ gen.standard_normal(5) + gen.standard_normal((3, n))
+    lam = frac * float(np.max(np.abs(ys[0] @ x))) / n
+    betas = fit_lasso_batch(x, ys, lam, gamma=gamma)
+    for y, row in zip(ys, betas):
+        prob = RegressionProblem(x, y)
+        fit = fit_lasso(prob, lam, gamma=gamma)
+        assert fit.converged
+        np.testing.assert_allclose(fit.beta, row, rtol=0, atol=1e-9)
+        assert check_kkt(prob, lam, fit.beta, gamma=gamma).strict
+        assert solvers._dual_gap(x, y, fit.beta, y - x @ fit.beta, lam,
+                                 gamma) <= solvers.default_tol(y)
+
+
+def _recording_finish(monkeypatch):
+    """Record, in order, each duality gap with its beta's signs ("gap"),
+    each certified_refit call's support, signs and answer ("refit") and
+    each sweep ("sweep")."""
+    events = []
+    gap, refit, rounds = (solvers._dual_gap, solvers.certified_refit,
+                          solvers._rounds)
+
+    def recording_gap(x, y, beta, *args):
+        value = gap(x, y, beta, *args)
+        events.append(("gap", (np.sign(beta), value)))
+        return value
+
+    def recording_refit(xs, y, support, signs, *args, **kwargs):
+        bs = refit(xs, y, support, signs, *args, **kwargs)
+        events.append(("refit", (support, signs, bs)))
+        return bs
+
+    def recording_rounds(sweep, *args):
+        def counted(cols):
+            events.append(("sweep", None))
+            return sweep(cols)
+        return rounds(counted, *args)
+    monkeypatch.setattr(solvers, "_dual_gap", recording_gap)
+    monkeypatch.setattr(solvers, "certified_refit", recording_refit)
+    monkeypatch.setattr(solvers, "_rounds", recording_rounds)
+    return events
+
+
+@pytest.mark.parametrize("warm", [False, True])
+def test_scalar_fit_refits_once_per_sign_pattern(monkeypatch, warm):
+    # the capped problem's fits make many gap checks; a check that fails
+    # refits exactly when its signs differ from the last refit's, on those
+    # support and signs, and no sign pattern is refit twice
+    x, ys, lam = _capped_problem()
+    prob = RegressionProblem(x, ys[1])
+    tol = solvers.default_tol(prob.y)
+    beta0 = fit_lasso(prob, 3.0 * lam).beta if warm else None
+    events = _recording_finish(monkeypatch)
+    fit = fit_lasso(prob, lam, beta0=beta0)
+    assert fit.converged
+    last, patterns = np.zeros(x.shape[1]), []
+    for i, (kind, value) in enumerate(events):
+        if kind != "gap" or events[i - 1][0] == "refit":
+            continue   # a refit's own gap is not a check
+        signs, gap = value
+        refit = events[i + 1] if i + 1 < len(events) else ("end", None)
+        if gap > tol and not np.array_equal(signs, last):
+            assert refit[0] == "refit"
+            support, refit_signs, _ = refit[1]
+            np.testing.assert_array_equal(support, np.flatnonzero(signs))
+            np.testing.assert_array_equal(refit_signs, signs[support])
+            patterns.append(tuple(signs))
+            last = signs
+        else:
+            assert refit[0] != "refit"
+    assert len(patterns) >= 3
+    assert len(set(patterns)) == len(patterns)
+
+
+def test_scalar_fit_never_refits_a_collinear_support(monkeypatch):
+    # columns 2 and 5 coincide and the warm start splits the weight over
+    # both: at gamma = 0 refit_gram rejects every support the fit visits,
+    # so descent alone ends it on the gap
+    prob = _duplicated_column_problem()
+    cold = fit_lasso(prob, 0.1)
+    beta0 = cold.beta.copy()
+    beta0[[2, 5]] = (cold.beta[2] + cold.beta[5]) / 2
+    beta0 += 1e-3 * (beta0 != 0.0)
+    rejected = []
+    gram = solvers.refit_gram
+
+    def recording_gram(xs, gamma):
+        try:
+            return gram(xs, gamma)
+        except ValueError:
+            rejected.append(xs.shape[1])
+            raise
+    monkeypatch.setattr(solvers, "refit_gram", recording_gram)
+    events = _recording_finish(monkeypatch)
+    warm = fit_lasso(prob, 0.1, beta0=beta0)
+    assert rejected and not [e for e in events if e[0] == "refit"]
+    assert warm.converged and {2, 5} <= set(warm.support.tolist())
+    assert warm.gap <= solvers.default_tol(prob.y)
+    assert check_kkt(prob, 0.1, warm.beta).strict
+
+
+@pytest.mark.parametrize("gamma", [0.0, 2.0])
+def test_fit_ended_by_a_refit_reports_its_sweeps_and_gap(monkeypatch, gamma):
+    x, ys, lam = _refit_problem()
+    prob = RegressionProblem(x, ys[0])
+    events = _recording_finish(monkeypatch)
+    fit = fit_lasso(prob, lam, gamma=gamma)
+    kind, (*_, bs) = events[-2]
+    assert kind == "refit" and bs is not None and events[-1][0] == "gap"
+    assert fit.converged
+    assert fit.n_iter == sum(kind == "sweep" for kind, _ in events)
+    resid = prob.y - x[:, fit.support] @ fit.beta[fit.support]
+    assert fit.gap == solvers._dual_gap(x, prob.y, fit.beta, resid, lam,
+                                        gamma) <= solvers.default_tol(prob.y)
+    assert check_kkt(prob, lam, fit.beta, gamma=gamma).strict
 
 
 def test_objective_optimality_probe():
