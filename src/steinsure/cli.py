@@ -236,8 +236,8 @@ _fit_command("sure4sure", 0.0, _sure4sure_summary,
 def svt_df(x_path, lam, sigma, seed, out, fmt):
     """Singular value thresholding: its exact divergence and tr J^2."""
     _check(lam >= 0, "--lam must be nonnegative, not %r" % lam)
-    _check(sigma is None or sigma >= 0,
-           "--sigma must be nonnegative, not %r" % sigma)
+    _check(sigma is None or 0.0 <= sigma < math.inf,
+           "--sigma must be nonnegative and finite, not %r" % sigma)
     y = _load_matrix(x_path)
     res = solvers.svt(y, lam)
     params, results = {"lam": lam}, {
@@ -359,6 +359,7 @@ def model_size(observed, p, alpha, seed, out, fmt):
 @with_common
 def debias(x_path, y_path, lam, a0, sigma, seed, out, fmt):
     """De-biased estimate of the contrast <a0, beta>."""
+    _check_penalty("--lam", lam)
     problem = _load_problem(x_path, y_path, sigma)
     a0_vec = np.array(_floats("--a0", a0))
     _check(a0_vec.size == problem.p, "--a0 must have length p = %d" % problem.p)

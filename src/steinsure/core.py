@@ -201,8 +201,9 @@ class RegressionProblem:
             )
         if not (np.isfinite(self.x).all() and np.isfinite(self.y).all()):
             raise ValueError("design and response must be finite")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not 0.0 <= self.sigma < math.inf:   # NaN fails too
+            raise ValueError("sigma must be nonnegative and finite, not %r"
+                             % self.sigma)
 
     @property
     def n(self) -> int:

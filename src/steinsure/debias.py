@@ -63,7 +63,7 @@ class DebiasReport:
     b_hat: float
     a_hat: float
     z0_norm_sq: float
-    frozen_support: bool    # the base refit passed the strict certificate
+    frozen_support: bool    # the base fit ended on its certified refit
     pivot: float | None = None
     v_star: float | None = None
     theta_true: float | None = None
@@ -77,9 +77,9 @@ def debias_theta(x: np.ndarray, y: np.ndarray, lam: float,
     """De-biased contrast estimate with closed-form interaction corrections.
 
     The corrections are traces of the fixed-sign refit's derivatives on the
-    support and signs of the base fit.  ``frozen_support`` says whether
-    :func:`solvers.certified_refit` certified that refit; if not, the
-    descent fit on the same support stands in.  Simulation mode
+    support and signs of the base fit.  ``frozen_support`` says that the
+    base fit ended on its certified refit; if not, its descent coefficients
+    on the same support stand in.  Simulation mode
     (``beta_true`` given) also returns the exact pivot and the variance
     proxy ``v_star``, whose mean over replications matches the variance of
     the pivot.  Collinear selected columns at ``gamma = 0`` raise
@@ -91,24 +91,18 @@ def debias_theta(x: np.ndarray, y: np.ndarray, lam: float,
     z0 = x @ u0
 
     fit = solvers.fit_lasso(RegressionProblem(x, y, sigma), lam, gamma=gamma)
-    support = fit.support
-    if lam == 0.0:
-        support = np.arange(x.shape[1])
+    # the Gram matrix is the fit's own, on every column at lam = 0
+    support = np.arange(x.shape[1]) if lam == 0.0 else fit.support
+    if fit.gram is None:   # gamma = 0, where df_hat is rank(X_S)
+        raise solvers._rank_error(round(fit.df_hat), support.size)
     xs = x[:, support]
-    # at gamma = 0 refit_gram rejects collinear columns
-    gram = solvers.refit_gram(xs, gamma)
-    beta_s = solvers.certified_refit(
-        xs, y, support, np.sign(fit.beta[support]), lam, gram,
-        lambda r: x.T @ r, gamma=gamma)
-    frozen = beta_s is not None
-    if not frozen:
-        beta_s = fit.beta[support]
+    beta_s = fit.beta[support]
     a0_s = a0[support]
     theta_proj = float(a0_s @ beta_s)
     resid = y - xs @ beta_s
 
     # A G^-1, with A = X_S - z0 a0_S' the selected columns of X Q0
-    ag = np.linalg.solve(gram, (xs - np.outer(z0, a0_s)).T).T
+    ag = np.linalg.solve(fit.gram, (xs - np.outer(z0, a0_s)).T).T
     nu_hat = float(np.sum(ag * xs))
     w = resid @ ag
     a_hat = float(w @ a0_s)
@@ -122,7 +116,7 @@ def debias_theta(x: np.ndarray, y: np.ndarray, lam: float,
 
     report = DebiasReport(theta_hat=theta_hat, theta_proj=theta_proj,
                           nu_hat=nu_hat, b_hat=b_hat, a_hat=a_hat,
-                          z0_norm_sq=z0_norm_sq, frozen_support=frozen,
+                          z0_norm_sq=z0_norm_sq, frozen_support=fit.refit,
                           unconverged=int(not fit.converged))
     if beta_true is not None:
         beta_true = np.asarray(beta_true, dtype=float).ravel()

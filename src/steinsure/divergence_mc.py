@@ -87,13 +87,9 @@ class _FittedMap:
     def keep(self, fit):
         """Answer later calls as if ``fit`` were the last descent fit."""
         self.beta, self.refit = fit.beta, None
-        if fit.converged and self.lam > 0:
-            xs = self.x[:, fit.support]
-            try:
-                self.refit = (fit.support, np.sign(fit.beta[fit.support]), xs,
-                              solvers.refit_gram(xs, self.gamma))
-            except ValueError:  # collinear l1 support: no unique refit
-                pass
+        if fit.converged and self.lam > 0 and fit.gram is not None:
+            self.refit = (fit.support, np.sign(fit.beta[fit.support]),
+                          self.x[:, fit.support], fit.gram)
 
     def __call__(self, yv):
         if self.refit is not None:
@@ -117,12 +113,12 @@ def lasso_fitted_map(x: np.ndarray, lam: float, gamma: float = 0.0,
     """y -> X beta_hat(y) for the l1 / elastic-net fit.
 
     After a converged coordinate-descent fit the map keeps its support S,
-    signs and X_S'X_S + gamma I, and answers each later call with the
-    closed-form refit on S when :func:`solvers.certified_refit` certifies
-    it as the exact minimizer; otherwise with a warm-started
+    signs and Gram matrix ``fit.gram``, and answers each later call with
+    the closed-form refit on S when :func:`solvers.certified_refit`
+    certifies it as the exact minimizer; otherwise with a warm-started
     :func:`solvers.fit_lasso` from the last beta, whose support it keeps.
-    The refit is kept only for gamma > 0 or a full-rank X_S, so a collinear
-    l1 support always goes through coordinate descent.
+    A collinear l1 support has no Gram matrix, so it always goes through
+    coordinate descent.
 
     ``start``, a :func:`solvers.fit_lasso` result on the same ``x``, ``lam``
     and ``gamma``, makes the map begin as if it had just made that fit.

@@ -60,6 +60,8 @@ class FitResult:
     gap: float
     n_iter: int
     converged: bool
+    gram: np.ndarray | None   # see _support_factor, on the columns of df
+    refit: bool               # beta minimizes F in closed form, not by descent
 
     @property
     def size(self) -> int:
@@ -110,10 +112,10 @@ def _rounds(sweep, coefs, certify, p, cold, max_iter):
     ``certify()`` then applies the one finish rule of both kernels: a fit
     ends when its duality gap is within tolerance, or when the fixed-sign
     refit on its current support and signs passes the strict KKT test and
-    has its gap within tolerance.  The refit is tried again only once the
-    support or signs have changed.  Unless the fit ends or ``max_iter``
-    sweeps are spent, a full sweep regrows the set (Friedman, Hastie &
-    Tibshirani 2010, J. Stat. Softw. 33(1)).
+    has its gap within tolerance, tried once per support and signs (by
+    :func:`fit_lasso` even where the gap passes).  Unless the fit ends or
+    ``max_iter`` sweeps are spent, a full sweep regrows the set (Friedman,
+    Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)).
     """
     full = list(range(p))
     it = 0
@@ -147,13 +149,21 @@ def _jacobian_weights(d2, gamma):
     return d2 / (d2 + gamma + (d2 == 0.0))
 
 
+def _support_factor(xs, gamma):
+    """(X_S'X_S + gamma I, w) from one ``eigvalsh`` of X_S'X_S: the matrix
+    of :func:`fixed_sign_refit`, None where gamma = 0 and X_S fails the
+    rank rule of :func:`support_spectrum`, and the eigenvalues w of J on S
+    (:func:`_jacobian_weights`), so df = sum(w) and tr J^2 = sum(w^2)."""
+    g = xs.T @ xs
+    w = _jacobian_weights(np.linalg.eigvalsh(g), gamma)
+    if gamma != 0.0:
+        return g + gamma * np.eye(xs.shape[1]), w
+    return (g if w.all() else None), w
+
+
 def _df_pair(x, support, gamma):
-    """(tr J, tr J^2) on S from the eigenvalues of X_S'X_S alone, weighted
-    as in :func:`support_spectrum`; with gamma = 0 both are rank(X_S)."""
-    if support.size == 0:
-        return 0.0, 0.0
-    xs = x[:, support]
-    w = _jacobian_weights(np.linalg.eigvalsh(xs.T @ xs), gamma)
+    """(tr J, tr J^2) on S, weighted as in :func:`support_spectrum`."""
+    w = _support_factor(x[:, support], gamma)[1]
     return float(np.sum(w)), float(np.sum(w * w))
 
 
@@ -179,32 +189,37 @@ def support_spectrum(x: np.ndarray, support, gamma: float):
     return q @ w[:, keep], weights[keep]
 
 
-def _finish(x, y, beta, lam, gamma, gap, n_iter, converged, df_cols=None):
-    """FitResult of ``beta``; df is taken on ``df_cols`` (default: S)."""
+def _finish(x, beta, lam, gamma, gap, n_iter, converged, refit, factor):
+    """FitResult of ``beta``; df is taken on S, or on every column at
+    lam = 0, from ``factor``, the (columns, Gram, weights) of a
+    :func:`_support_factor` call, when it was made on those columns.  A
+    refit that HARD_ZERO trims is no longer the refit on its support."""
     beta = np.where(np.abs(beta) <= HARD_ZERO, 0.0, beta)
     support = np.flatnonzero(beta)
-    mu_hat = x @ beta
-    df, tr2 = _df_pair(x, support if df_cols is None else df_cols, gamma)
-    return FitResult(beta=beta, mu_hat=mu_hat, support=support, df_hat=df,
-                     trace_grad_sq=tr2, lam=lam, gamma=gamma, gap=gap,
-                     n_iter=n_iter, converged=converged)
+    # at lam = 0 every column moves the fit, whatever its coefficient
+    cols = np.arange(beta.size) if lam == 0.0 else support
+    if factor is None or not np.array_equal(factor[0], cols):
+        factor, refit = (cols, *_support_factor(x[:, cols], gamma)), False
+    _, gram, w = factor
+    return FitResult(beta, x @ beta, support, float(np.sum(w)),
+                     float(np.sum(w * w)), lam, gamma, gap, n_iter, converged,
+                     gram, refit)
 
 
 def refit_gram(xs: np.ndarray, gamma: float) -> np.ndarray:
-    """X_S'X_S + gamma I, the matrix of :func:`fixed_sign_refit` on S.
-
-    At gamma = 0 a rank-deficient X_S, by the rule of
-    :func:`support_spectrum`, raises ValueError: the selected columns then
-    do not determine the coefficients.
+    """X_S'X_S + gamma I, the matrix of :func:`fixed_sign_refit` on S; at
+    gamma = 0 a rank-deficient X_S, by the rule of :func:`support_spectrum`,
+    raises ValueError, since its columns do not determine the coefficients.
     """
-    g = xs.T @ xs
-    if gamma != 0.0:
-        return g + gamma * np.eye(xs.shape[1])
-    rank = int(np.count_nonzero(_jacobian_weights(np.linalg.eigvalsh(g), 0.0)))
-    if rank < xs.shape[1]:
-        raise ValueError("selected columns are rank deficient (rank %d < %d)"
-                         % (rank, xs.shape[1]))
-    return g
+    gram, w = _support_factor(xs, gamma)
+    if gram is None:
+        raise _rank_error(np.count_nonzero(w), w.size)
+    return gram
+
+
+def _rank_error(rank, size):
+    return ValueError("selected columns are rank deficient (rank %d < %d)"
+                      % (rank, size))
 
 
 def fixed_sign_refit(xs: np.ndarray, y: np.ndarray, signs: np.ndarray,
@@ -225,12 +240,9 @@ def certified_refit(xs: np.ndarray, y: np.ndarray, support: np.ndarray,
     b_S on ``support``, zero elsewhere, must pass the strict test of
     :func:`check_kkt` at its default margin (a flipped or vanished sign and
     an inactive column at the bound each fail it), with X'r = ``xt(r)``
-    formed from the caller's own factors of X.  At lam = 0 the refit is the
-    normal-equation solve on S and needs no certificate.
+    formed from the caller's own factors of X; as there, lam > 0.
     """
     bs = fixed_sign_refit(xs, y, signs, lam, gram)
-    if lam == 0.0:
-        return bs
     xtr = xt(y - xs @ bs)
     beta = np.zeros(xtr.size)
     beta[support] = bs
@@ -247,10 +259,12 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
     with ``gamma > 0`` is plain ridge.  The sweeps follow the round
     schedule of :func:`_rounds`, and ``max_iter`` caps them.  A fit ends by
     the finish rule of :func:`_rounds`, with ``tol`` (default
-    1e-10 * (1 + ||y||^2/n)) as the gap tolerance: on its duality gap, or
-    on :func:`certified_refit` over a Gram matrix from :func:`refit_gram`,
-    so that at gamma = 0 a collinear support is never refit.  ``n_iter``
-    counts the sweeps alone; ``gap`` is that of the returned beta.
+    1e-10 * (1 + ||y||^2/n)) as the gap tolerance; a check whose signs
+    differ from the last refit's tries :func:`certified_refit` even when
+    its gap passes, and ``refit`` says that the fit ended on it.  One
+    :func:`_support_factor` per support tried gives the refit's Gram matrix,
+    kept as ``gram``, and the weights of df.  ``n_iter`` counts the sweeps
+    alone; ``gap`` is that of the returned beta.
     """
     x, y = problem.x, problem.y
     n, p = x.shape
@@ -259,13 +273,10 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
         tol = default_tol(y)
 
     if lam == 0.0:
-        if gamma == 0.0:
-            beta = np.linalg.lstsq(x, y, rcond=None)[0]
-        else:
-            beta = np.linalg.solve(x.T @ x + gamma * np.eye(p), x.T @ y)
-        # every column moves the fit, whatever its coefficient
-        return _finish(x, y, beta, lam, gamma, 0.0, 0, True,
-                       df_cols=np.arange(p))
+        factor = (np.arange(p), *_support_factor(x, gamma))
+        beta = (np.linalg.lstsq(x, y, rcond=None)[0] if gamma == 0.0
+                else np.linalg.solve(factor[1], x.T @ y))
+        return _finish(x, beta, lam, gamma, 0.0, 0, True, True, factor)
 
     col_sq = np.einsum("ij,ij->j", x, x)
     beta = np.zeros(p) if beta0 is None else np.array(beta0, dtype=float)
@@ -296,41 +307,36 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
         return moved
 
     gap = math.inf
-    # the signs of the last refit, which failed: the fit is refit again
-    # only once its support or signs have changed
-    tried = np.zeros(p)
+    # the signs, support factor and outcome of the last refit tried: the
+    # fit is refit again only once its support or signs have changed
+    tried, factor, refit = None, None, False
 
     def certify():
         # the duality gap, then the refit on the current support and signs
-        nonlocal gap, resid, tried
+        nonlocal gap, resid, tried, factor, refit
         gap = float(_dual_gap(x, y, beta, resid, lam, gamma))
-        if gap <= tol:
-            return True
         signs = np.sign(beta)
-        if np.array_equal(signs, tried):
-            return False
-        tried = signs
-        support = np.flatnonzero(signs)
-        xs = x[:, support]
-        try:
-            gram = refit_gram(xs, gamma)
-        except ValueError:   # collinear l1 support: no unique refit
-            return False
-        bs = certified_refit(xs, y, support, signs[support], lam, gram,
-                             lambda r: x.T @ r, gamma=gamma)
-        if bs is None:
-            return False
-        refit = np.zeros(p)
-        refit[support] = bs
-        r = y - xs @ bs
-        g = float(_dual_gap(x, y, refit, r, lam, gamma))
-        if g > tol:
-            return False
-        beta[:], resid, gap = refit, r, g
-        return True
+        if tried is None or not np.array_equal(signs, tried):
+            tried = signs
+            support = np.flatnonzero(signs)
+            xs = x[:, support]
+            factor = (support, *_support_factor(xs, gamma))
+            # at gamma = 0 a collinear l1 support has no unique refit
+            bs = None if factor[1] is None else certified_refit(
+                xs, y, support, signs[support], lam, factor[1],
+                lambda r: x.T @ r, gamma=gamma)
+            if bs is not None:
+                b = np.zeros(p)
+                b[support] = bs
+                r = y - xs @ bs
+                g = float(_dual_gap(x, y, b, r, lam, gamma))
+                if g <= tol:
+                    beta[:], resid, gap, refit = b, r, g, True
+        return gap <= tol
 
     it = _rounds(sweep, lambda: beta, certify, p, beta0 is None, max_iter)
-    return _finish(x, y, beta, lam, gamma, gap, it, bool(gap <= tol))
+    return _finish(x, beta, lam, gamma, gap, it, bool(gap <= tol), refit,
+                   factor)
 
 
 class BatchUnconverged(RuntimeError):
@@ -380,9 +386,8 @@ def _batch_refit(x, gram, ys, signs, rows, lam, gamma, tol, out):
         g = gram[cols[:, :, None], cols[:, None, :]]
         g[pad[:, :, None] | pad[:, None, :]] = 0.0
         if gamma == 0.0:
-            rank = np.count_nonzero(
+            full = kb == np.count_nonzero(
                 _jacobian_weights(np.linalg.eigvalsh(g), 0.0), axis=1)
-            full = rank == kb
             blk, s, cols, pad, g = (blk[full], s[full], cols[full],
                                     pad[full], g[full])
             if not blk.size:

@@ -1,6 +1,8 @@
+import re
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from steinsure.core import RegressionProblem, RngStream, gaussian_design
 from steinsure import debias as dm
@@ -281,3 +283,117 @@ def test_collinear_selection_raises_value_error():
     # a ridge term makes the same selection well posed
     rep = dm.debias_theta(x, y, 0.1, d, gamma=0.5)
     assert np.isfinite(rep.theta_hat)
+
+
+def _reference_debias(x, y, lam, direction, gamma, beta_true):
+    """debias_theta by the path it took before the base fit kept its refit:
+    fit_lasso, then refit_gram and certified_refit again on the fit's
+    support and signs, with the descent coefficients as the fallback."""
+    a0, u0 = direction.a0, direction.u0
+    z0 = x @ u0
+    fit = solvers.fit_lasso(RegressionProblem(x, y), lam, gamma=gamma)
+    support = fit.support
+    xs = x[:, support]
+    gram = solvers.refit_gram(xs, gamma)
+    beta_s = solvers.certified_refit(
+        xs, y, support, np.sign(fit.beta[support]), lam, gram,
+        lambda r: x.T @ r, gamma=gamma)
+    frozen = beta_s is not None
+    if not frozen:
+        beta_s = fit.beta[support]
+    a0_s = a0[support]
+    theta_proj = float(a0_s @ beta_s)
+    resid = y - xs @ beta_s
+    ag = np.linalg.solve(gram, (xs - np.outer(z0, a0_s)).T).T
+    nu_hat = float(np.sum(ag * xs))
+    w = resid @ ag
+    a_hat = float(w @ a0_s)
+    b_hat = a_hat - theta_proj * nu_hat
+    z0_norm_sq = float(z0 @ z0)
+    denom = z0_norm_sq - nu_hat
+    if denom <= 0:
+        raise ValueError("correction denominator is nonpositive")
+    theta_hat = theta_proj + (float(z0 @ resid) + a_hat) / denom
+    theta = float(a0 @ beta_true)
+    resid_part = -resid - z0 * (theta_proj - theta)
+    k = np.outer(a0_s, w) + (theta - theta_proj) * (xs.T @ ag)
+    return dm.DebiasReport(
+        theta_hat=theta_hat, theta_proj=theta_proj, nu_hat=nu_hat,
+        b_hat=b_hat, a_hat=a_hat, z0_norm_sq=z0_norm_sq,
+        frozen_support=frozen, pivot=denom * (theta_hat - theta),
+        v_star=float(resid_part @ resid_part) + float(np.sum(k * k.T)),
+        theta_true=theta, unconverged=int(not fit.converged))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gamma=st.sampled_from([0.0, 0.7]),
+       shape=st.sampled_from([(25, 8), (40, 15), (30, 60), (80, 40)]),
+       frac=st.floats(0.05, 1.2), collinear=st.booleans())
+@example(seed=0, gamma=0.0, shape=(30, 60), frac=1.0, collinear=False)
+def test_debias_reads_the_base_refit_as_the_reference_solves_it(
+        seed, gamma, shape, frac, collinear):
+    # lam runs from 0.05 lam_max, where most fits end on a refit after
+    # descent has failed a check, past lam_max, where the support is empty
+    # and the fit ends on its first check; a collinear design at gamma = 0
+    # raises the same error on both paths.  The example sits at lam_max,
+    # where the fit's one coefficient is a certified refit of 1e-16 that
+    # HARD_ZERO drops, so the fit ends on descent as the reference does
+    gen = np.random.default_rng(seed)
+    n, p = shape
+    x = gen.standard_normal((n, p))
+    if collinear:
+        x[:, 3] = (x[:, 1] + x[:, 2]) / 2
+    beta = np.zeros(p)
+    beta[:4] = 1.0
+    y = x @ beta + gen.standard_normal(n)
+    d = dm.direction_setup(gen.standard_normal(p), None, p)
+    lam = frac * float(np.max(np.abs(x.T @ y))) / n
+    try:
+        ref = _reference_debias(x, y, lam, d, gamma, beta)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            dm.debias_theta(x, y, lam, d, gamma=gamma, beta_true=beta)
+        return
+    assert dm.debias_theta(x, y, lam, d, gamma=gamma, beta_true=beta) == ref
+
+
+def _counting(monkeypatch, name):
+    """Count the calls of ``np.linalg.<name>``."""
+    calls = []
+    original = getattr(np.linalg, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("gamma", [0.0, 2.0])
+def test_debias_factors_the_base_support_once(monkeypatch, gamma):
+    # the base fit ends on its first refit; debias reads that refit and its
+    # Gram matrix: one eigvalsh of X_S'X_S (the support factor, which df
+    # shares) and two solves (the refit, then A G^-1), where solving the
+    # refit again took three of each at gamma = 0
+    gen = np.random.default_rng(10)
+    n, p = 80, 60
+    x = gen.standard_normal((n, p))
+    beta = np.zeros(p)
+    beta[:4] = 1.0
+    y = x @ beta + gen.standard_normal(n)
+    d = dm.direction_setup(np.eye(p)[1], None, p)
+    refits = []
+    refit = solvers.certified_refit
+
+    def recording_refit(*args, **kwargs):
+        refits.append(refit(*args, **kwargs))
+        return refits[-1]
+    monkeypatch.setattr(solvers, "certified_refit", recording_refit)
+    eig = _counting(monkeypatch, "eigvalsh")
+    solved = _counting(monkeypatch, "solve")
+    rep = dm.debias_theta(x, y, 0.3, d, gamma=gamma, beta_true=beta)
+    k = len(refits[0])
+    assert eig == [(k, k)]
+    assert solved == [(k, k), (k, k)]
+    assert len(refits) == 1 and refits[0] is not None
+    assert rep.frozen_support

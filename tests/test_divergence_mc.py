@@ -280,6 +280,25 @@ def test_lasso_map_refit_equals_cold_fit(seed, gamma, shape, step):
     assert f.unconverged == 0
 
 
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_lasso_map_keeps_the_base_fit_gram(monkeypatch, gamma):
+    # start=fit takes the fit's own Gram matrix: no Gram matrix, eigvalsh or
+    # refit for the base fit, and the first probe refits on that matrix
+    gen, x, y, lam = _map_problem(21, 60, 40)
+    fit = solvers.fit_lasso(RegressionProblem(x, y), lam, gamma=gamma)
+    grams = _recording(monkeypatch, "refit_gram")
+    refits = _recording(monkeypatch, "certified_refit")
+    eig = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: eig.append(a.shape) or eigvalsh(a))
+    f = lasso_fitted_map(x, lam, gamma, start=fit)
+    assert f.refit[3] is fit.gram and not (grams or refits or eig)
+    f(y + 1e-6 * gen.standard_normal(60))
+    assert len(refits) == 1 and refits[0][1] is not None
+    assert refits[0][0][5] is fit.gram and not (grams or eig)
+
+
 def test_lasso_map_support_change_falls_back_to_descent(monkeypatch):
     gen, x, y, lam = _map_problem(21, 60, 40)
     f = lasso_fitted_map(x, lam, 0.3)

@@ -336,6 +336,21 @@ def test_cli_svt_df_sigma_adds_sure_for_sure(tmp_path):
      "bad config: n_list entry must be an integer of at least 1, not 0"),
     (["sos-verify", "--n", "5", "--reps", "4", "--sigma", "nan"],
      "bad config: sigma must be positive and finite, not nan"),
+    (["svt-df", "--X", "X", "--lam", "1", "--sigma", "inf"],
+     "--sigma must be nonnegative and finite, not inf"),
+    (["sure", "--X", "X", "--y", "y", "--lam", "0.1", "--sigma", "nan"],
+     "sigma must be nonnegative and finite, not nan"),
+    (["lasso", "--X", "X", "--y", "y", "--lam", "0.1", "--sigma", "nan"],
+     "sigma must be nonnegative and finite, not nan"),
+    (["debias", "--X", "X", "--y", "y", "--lam", "0.3", "--a0",
+      "1,0,0,0,0,0,0,0", "--sigma", "inf"],
+     "sigma must be nonnegative and finite, not inf"),
+    (["tune", "--X", "X", "--y", "y", "--lams", "0.1,0.2", "--sigma", "inf"],
+     "sigma must be nonnegative and finite, not inf"),
+    (["debias", "--X", "X", "--y", "y", "--lam", "nan", "--a0",
+      "1,0,0,0,0,0,0,0"], "--lam must be nonnegative and finite, not nan"),
+    (["debias", "--X", "X", "--y", "y", "--lam", "-1", "--a0",
+      "1,0,0,0,0,0,0,0"], "--lam must be nonnegative and finite, not -1.0"),
 ])
 def test_cli_bad_option_values_are_one_line_usage_errors(tmp_path, args,
                                                          message):

@@ -472,23 +472,23 @@ def _recording_finish(monkeypatch):
 
 @pytest.mark.parametrize("warm", [False, True])
 def test_scalar_fit_refits_once_per_sign_pattern(monkeypatch, warm):
-    # the capped problem's fits make many gap checks; a check that fails
-    # refits exactly when its signs differ from the last refit's, on those
-    # support and signs, and no sign pattern is refit twice
+    # the capped problem's fits make many gap checks; a check refits
+    # exactly when its signs differ from the last refit's, on those support
+    # and signs, whether or not its gap passes, and no sign pattern is
+    # refit twice
     x, ys, lam = _capped_problem()
     prob = RegressionProblem(x, ys[1])
-    tol = solvers.default_tol(prob.y)
     beta0 = fit_lasso(prob, 3.0 * lam).beta if warm else None
     events = _recording_finish(monkeypatch)
     fit = fit_lasso(prob, lam, beta0=beta0)
     assert fit.converged
-    last, patterns = np.zeros(x.shape[1]), []
+    last, patterns = None, []
     for i, (kind, value) in enumerate(events):
         if kind != "gap" or events[i - 1][0] == "refit":
             continue   # a refit's own gap is not a check
-        signs, gap = value
+        signs, _ = value
         refit = events[i + 1] if i + 1 < len(events) else ("end", None)
-        if gap > tol and not np.array_equal(signs, last):
+        if last is None or not np.array_equal(signs, last):
             assert refit[0] == "refit"
             support, refit_signs, _ = refit[1]
             np.testing.assert_array_equal(support, np.flatnonzero(signs))
@@ -503,26 +503,27 @@ def test_scalar_fit_refits_once_per_sign_pattern(monkeypatch, warm):
 
 def test_scalar_fit_never_refits_a_collinear_support(monkeypatch):
     # columns 2 and 5 coincide and the warm start splits the weight over
-    # both: at gamma = 0 refit_gram rejects every support the fit visits,
-    # so descent alone ends it on the gap
+    # both: at gamma = 0 the support factor rejects every support the fit
+    # visits (the rank rule of refit_gram), so descent alone ends it on
+    # the gap
     prob = _duplicated_column_problem()
     cold = fit_lasso(prob, 0.1)
     beta0 = cold.beta.copy()
     beta0[[2, 5]] = (cold.beta[2] + cold.beta[5]) / 2
     beta0 += 1e-3 * (beta0 != 0.0)
     rejected = []
-    gram = solvers.refit_gram
+    factor = solvers._support_factor
 
-    def recording_gram(xs, gamma):
-        try:
-            return gram(xs, gamma)
-        except ValueError:
+    def recording_factor(xs, gamma):
+        gram, w = factor(xs, gamma)
+        if gram is None:
             rejected.append(xs.shape[1])
-            raise
-    monkeypatch.setattr(solvers, "refit_gram", recording_gram)
+        return gram, w
+    monkeypatch.setattr(solvers, "_support_factor", recording_factor)
     events = _recording_finish(monkeypatch)
     warm = fit_lasso(prob, 0.1, beta0=beta0)
     assert rejected and not [e for e in events if e[0] == "refit"]
+    assert warm.gram is None and not warm.refit
     assert warm.converged and {2, 5} <= set(warm.support.tolist())
     assert warm.gap <= solvers.default_tol(prob.y)
     assert check_kkt(prob, 0.1, warm.beta).strict
@@ -820,6 +821,39 @@ def test_fixed_sign_refit_is_the_minimizer_on_a_stable_support(gamma):
     beta[s] = bs
     np.testing.assert_allclose(beta, fit.beta, rtol=1e-9, atol=1e-12)
     assert check_kkt(prob, 0.2, beta, gamma=gamma).strict
+
+
+@pytest.mark.parametrize("gamma", [0.0, 2.0])
+def test_fit_keeps_the_gram_matrix_of_its_support(gamma):
+    # one support factor gives the refit its Gram matrix and df its
+    # weights; the fit keeps both and says that it ended on the refit
+    prob = _problem(12, n=50, p=30, s0=4, amp=2.0)
+    fit = fit_lasso(prob, 0.2, gamma=gamma)
+    s = fit.support
+    xs = prob.x[:, s]
+    np.testing.assert_array_equal(fit.gram, solvers.refit_gram(xs, gamma))
+    assert (fit.df_hat, fit.trace_grad_sq) == solvers._df_pair(prob.x, s,
+                                                                gamma)
+    bs = solvers.certified_refit(xs, prob.y, s, np.sign(fit.beta[s]), 0.2,
+                                 fit.gram, lambda r: prob.x.T @ r,
+                                 gamma=gamma)
+    assert fit.refit
+    np.testing.assert_array_equal(fit.beta[s], bs)
+
+
+@pytest.mark.parametrize("n, p, gamma", [(30, 10, 0.0), (8, 12, 0.0),
+                                         (8, 12, 0.5)])
+def test_lam_zero_fit_keeps_the_gram_matrix_of_all_columns(n, p, gamma):
+    # least squares and ridge minimize F in closed form; at gamma = 0 more
+    # columns than rows fail the rank rule
+    prob = _problem(11, n=n, p=p)
+    fit = fit_lasso(prob, 0.0, gamma=gamma)
+    assert fit.refit
+    if gamma == 0.0 and p > n:
+        assert fit.gram is None
+    else:
+        np.testing.assert_array_equal(fit.gram,
+                                      solvers.refit_gram(prob.x, gamma))
 
 
 def test_refit_gram_rejects_collinear_columns_without_ridge():
