@@ -235,7 +235,7 @@ _fit_command("sure4sure", 0.0, _sure4sure_summary,
 @with_common
 def svt_df(x_path, lam, sigma, seed, out, fmt):
     """Singular value thresholding: its exact divergence and tr J^2."""
-    _check(lam >= 0, "--lam must be nonnegative, not %r" % lam)
+    _check_penalty("--lam", lam)
     _check(sigma is None or 0.0 <= sigma < math.inf,
            "--sigma must be nonnegative and finite, not %r" % sigma)
     y = _load_matrix(x_path)
@@ -269,7 +269,8 @@ def mc_div(map_kind, x_path, y_path, lam, gamma, m, step, two_sided,
     _check_penalty("--lam", lam)
     _check_penalty("--gamma", gamma)
     _check(m >= 1, "--m must be at least 1, not %d" % m)
-    _check(step is None or step > 0, "--step must be positive, not %r" % step)
+    _check(step is None or 0.0 < step < math.inf,
+           "--step must be positive and finite, not %r" % step)
     if map_kind == "svt":
         _check(x_path is not None, "--map svt requires --X (the matrix)")
         y = _load_matrix(x_path)
@@ -284,8 +285,9 @@ def mc_div(map_kind, x_path, y_path, lam, gamma, m, step, two_sided,
         x = _load_matrix(x_path)
         y = _load_matrix(y_path).ravel()
         f = divergence_mc.lasso_fitted_map(x, lam, gamma)
-    est = divergence_mc.mc_divergence(f, y, m, RngStream(seed), a=step,
-                                      two_sided=two_sided)
+    # a probe that overflows the response is a usage error
+    est = _checked(divergence_mc.mc_divergence, f, y, m, RngStream(seed),
+                   a=step, two_sided=two_sided)
     payload = harness.results_payload("mc_div", seed, {
         "map": map_kind, "lam": lam, "gamma": gamma, "m": m,
     }, {"value": est.value, "a": est.a, "se_bound": est.se_bound,
@@ -363,7 +365,8 @@ def debias(x_path, y_path, lam, a0, sigma, seed, out, fmt):
     problem = _load_problem(x_path, y_path, sigma)
     a0_vec = np.array(_floats("--a0", a0))
     _check(a0_vec.size == problem.p, "--a0 must have length p = %d" % problem.p)
-    direction = debias_mod.direction_setup(a0_vec, None, problem.p)
+    direction = _checked(debias_mod.direction_setup, a0_vec, None,
+                         problem.p)
     # a collinear selection or too dense a fit is a usage error
     rep = _checked(debias_mod.debias_theta, problem.x, problem.y, lam,
                    direction, sigma=sigma)

@@ -44,6 +44,8 @@ def direction_setup(a0_raw: np.ndarray, sigma_matrix: np.ndarray | None,
     a0_raw = np.asarray(a0_raw, dtype=float).ravel()
     if a0_raw.shape != (p,):
         raise ValueError("direction must have length p")
+    if not np.isfinite(a0_raw).all():
+        raise ValueError("direction must be finite")
     if sigma_matrix is None:
         u0_raw = a0_raw.copy()
     else:

@@ -46,7 +46,8 @@ def mc_divergence(f, y, m: int, stream: RngStream, a: float | None = None,
 
     ``f`` maps arrays of the shape of ``y`` to arrays of the same shape
     (vectors or matrices); warm-starting across the perturbed solves is the
-    map's own business.
+    map's own business.  A step ``a`` whose probe y + a z (or y - a z)
+    overflows at a finite ``y`` raises ValueError.
     """
     y = np.asarray(y, dtype=float)
     if m < 1:
@@ -56,11 +57,16 @@ def mc_divergence(f, y, m: int, stream: RngStream, a: float | None = None,
     if a <= 0:
         raise ValueError("step a must be positive")
     dim = y.size
+    y_max = float(np.max(np.abs(y), initial=0.0))
     gen = stream.generator()
     f0 = None if two_sided else np.asarray(f(y), dtype=float)
     terms = np.empty(m)
     for j in range(m):
         z = gen.standard_normal(y.shape)
+        # rounding is monotone, so max|y| + a max|z| bounds |y_i +- a z_i|
+        reach = y_max + a * float(np.max(np.abs(z), initial=0.0))
+        if y_max < math.inf <= reach:
+            raise ValueError("step a = %r overflows the probe response" % a)
         if two_sided:
             h = (np.asarray(f(y + a * z), dtype=float)
                  - np.asarray(f(y - a * z), dtype=float)) / (2.0 * a)
@@ -94,13 +100,12 @@ class _FittedMap:
     def __call__(self, yv):
         if self.refit is not None:
             support, signs, xs, gram = self.refit
-            bs = solvers.certified_refit(xs, yv, support, signs, self.lam,
-                                         gram, lambda r: self.x.T @ r,
-                                         gamma=self.gamma)
-            if bs is not None:
-                self.beta = np.zeros(self.x.shape[1])
-                self.beta[support] = bs
-                return xs @ bs
+            cert = solvers.certified_refit(
+                self.x, xs, yv, support, signs, self.lam, gram,
+                solvers.default_tol(yv), gamma=self.gamma)
+            if cert is not None:
+                self.beta, fitted, _ = cert
+                return fitted
         fit = solvers.fit_lasso(RegressionProblem(self.x, yv), self.lam,
                                 gamma=self.gamma, beta0=self.beta)
         self.unconverged += not fit.converged
@@ -115,7 +120,8 @@ def lasso_fitted_map(x: np.ndarray, lam: float, gamma: float = 0.0,
     After a converged coordinate-descent fit the map keeps its support S,
     signs and Gram matrix ``fit.gram``, and answers each later call with
     the closed-form refit on S when :func:`solvers.certified_refit`
-    certifies it as the exact minimizer; otherwise with a warm-started
+    certifies it as the exact minimizer, at the gap tolerance of a
+    :func:`solvers.fit_lasso` call at that y; otherwise with a warm-started
     :func:`solvers.fit_lasso` from the last beta, whose support it keeps.
     A collinear l1 support has no Gram matrix, so it always goes through
     coordinate descent.

@@ -82,11 +82,11 @@ class SvtResult(NamedTuple):
     trace_grad_sq: float
 
 
-def _dual_gap(x, y, beta, resid, lam, gamma):
-    """Duality gap of F at beta, via the ridge-augmented l1 formulation; one
-    gap per row when ``y``, ``beta`` and ``resid`` stack one problem a row."""
+def _dual_gap(xtr, y, beta, resid, lam, gamma):
+    """Duality gap of F at beta from resid = y - X beta and xtr = resid @ X,
+    via the ridge-augmented l1 formulation; one gap a row when they stack."""
     n = y.shape[-1]
-    corr = (resid @ x - gamma * beta) / n
+    corr = (xtr - gamma * beta) / n
     cmax = np.max(np.abs(corr), axis=-1, initial=0.0)
     scale = np.where(cmax > lam, lam / np.maximum(cmax, 1e-300), 1.0)
     rss = (np.einsum("...i,...i", resid, resid)
@@ -94,6 +94,18 @@ def _dual_gap(x, y, beta, resid, lam, gamma):
     primal = rss / (2 * n) + lam * np.sum(np.abs(beta), axis=-1)
     dual = scale * np.einsum("...i,...i", resid, y) / n - scale ** 2 * rss / (2 * n)
     return primal - dual
+
+
+def _certificate(xtr, y, beta, resid, lam, gamma, tol):
+    """(accepted, gap) of a refit beta from resid = y - X beta and xtr =
+    resid @ X, the one test by which both kernels and the lasso map accept
+    a refit: the strict test of :func:`check_kkt` at KKT_MARGIN (which a
+    flipped or vanished sign and an inactive column at the bound fail) and
+    a duality gap of at most ``tol``; one entry a row when they stack."""
+    gap = _dual_gap(xtr, y, beta, resid, lam, gamma)
+    strict = _kkt_report(xtr, beta, y.shape[-1] * lam, gamma,
+                         KKT_MARGIN).strict
+    return strict & (gap <= tol), gap
 
 
 def _check_penalty(lam, gamma):
@@ -110,9 +122,9 @@ def _rounds(sweep, coefs, certify, p, cold, max_iter):
     rows when it stacks fits) at most ROUND_SWEEPS times, stopping once
     ``sweep(cols)`` returns a largest move of at most 1e-14 (1 + max|coefs()|).
     ``certify()`` then applies the one finish rule of both kernels: a fit
-    ends when its duality gap is within tolerance, or when the fixed-sign
-    refit on its current support and signs passes the strict KKT test and
-    has its gap within tolerance, tried once per support and signs (by
+    ends when its duality gap is within tolerance, or when
+    :func:`_certificate` accepts the fixed-sign refit on its current
+    support and signs, tried once per support and signs (by
     :func:`fit_lasso` even where the gap passes).  Unless the fit ends or
     ``max_iter`` sweeps are spent, a full sweep regrows the set (Friedman,
     Hastie & Tibshirani 2010, J. Stat. Softw. 33(1)).
@@ -151,7 +163,7 @@ def _jacobian_weights(d2, gamma):
 
 def _support_factor(xs, gamma):
     """(X_S'X_S + gamma I, w) from one ``eigvalsh`` of X_S'X_S: the matrix
-    of :func:`fixed_sign_refit`, None where gamma = 0 and X_S fails the
+    of :func:`certified_refit`, None where gamma = 0 and X_S fails the
     rank rule of :func:`support_spectrum`, and the eigenvalues w of J on S
     (:func:`_jacobian_weights`), so df = sum(w) and tr J^2 = sum(w^2)."""
     g = xs.T @ xs
@@ -206,48 +218,29 @@ def _finish(x, beta, lam, gamma, gap, n_iter, converged, refit, factor):
                      gram, refit)
 
 
-def refit_gram(xs: np.ndarray, gamma: float) -> np.ndarray:
-    """X_S'X_S + gamma I, the matrix of :func:`fixed_sign_refit` on S; at
-    gamma = 0 a rank-deficient X_S, by the rule of :func:`support_spectrum`,
-    raises ValueError, since its columns do not determine the coefficients.
-    """
-    gram, w = _support_factor(xs, gamma)
-    if gram is None:
-        raise _rank_error(np.count_nonzero(w), w.size)
-    return gram
-
-
 def _rank_error(rank, size):
     return ValueError("selected columns are rank deficient (rank %d < %d)"
                       % (rank, size))
 
 
-def fixed_sign_refit(xs: np.ndarray, y: np.ndarray, signs: np.ndarray,
-                     lam: float, gram: np.ndarray) -> np.ndarray:
-    """Minimizer of F over the coefficients on S with their signs fixed.
+def certified_refit(x: np.ndarray, xs: np.ndarray, y: np.ndarray,
+                    support: np.ndarray, signs: np.ndarray, lam: float,
+                    gram: np.ndarray, tol: float, *, gamma: float = 0.0):
+    """The minimizer of F with the signs on S fixed, if it minimizes F.
 
-    Solves (X_S'X_S + gamma I) b_S = X_S'y - n lam s for ``gram`` from
-    :func:`refit_gram`; :func:`certified_refit` decides whether it minimizes F.
+    Solves (X_S'X_S + gamma I) b_S = X_S'y - n lam s for ``gram`` that
+    matrix and ``xs`` the caller's copy of X[:, support].  Returns
+    (beta, X_S b_S, gap), beta being b_S on ``support`` and zero elsewhere,
+    when :func:`_certificate` accepts beta at gap tolerance ``tol``, else
+    None; as in :func:`check_kkt`, lam > 0.
     """
-    return np.linalg.solve(gram, xs.T @ y - xs.shape[0] * lam * signs)
-
-
-def certified_refit(xs: np.ndarray, y: np.ndarray, support: np.ndarray,
-                    signs: np.ndarray, lam: float, gram: np.ndarray, xt, *,
-                    gamma: float = 0.0) -> np.ndarray | None:
-    """:func:`fixed_sign_refit` on S if it minimizes F, else None.
-
-    b_S on ``support``, zero elsewhere, must pass the strict test of
-    :func:`check_kkt` at its default margin (a flipped or vanished sign and
-    an inactive column at the bound each fail it), with X'r = ``xt(r)``
-    formed from the caller's own factors of X; as there, lam > 0.
-    """
-    bs = fixed_sign_refit(xs, y, signs, lam, gram)
-    xtr = xt(y - xs @ bs)
-    beta = np.zeros(xtr.size)
+    bs = np.linalg.solve(gram, xs.T @ y - x.shape[0] * lam * signs)
+    fitted = xs @ bs
+    resid = y - fitted
+    beta = np.zeros(x.shape[1])
     beta[support] = bs
-    return bs if _kkt_report(xtr, beta, xs.shape[0] * lam, gamma,
-                             KKT_MARGIN).strict else None
+    ok, gap = _certificate(resid @ x, y, beta, resid, lam, gamma, tol)
+    return (beta, fitted, float(gap)) if ok else None
 
 
 def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
@@ -313,8 +306,8 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
 
     def certify():
         # the duality gap, then the refit on the current support and signs
-        nonlocal gap, resid, tried, factor, refit
-        gap = float(_dual_gap(x, y, beta, resid, lam, gamma))
+        nonlocal gap, tried, factor, refit
+        gap = float(_dual_gap(resid @ x, y, beta, resid, lam, gamma))
         signs = np.sign(beta)
         if tried is None or not np.array_equal(signs, tried):
             tried = signs
@@ -322,16 +315,12 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
             xs = x[:, support]
             factor = (support, *_support_factor(xs, gamma))
             # at gamma = 0 a collinear l1 support has no unique refit
-            bs = None if factor[1] is None else certified_refit(
-                xs, y, support, signs[support], lam, factor[1],
-                lambda r: x.T @ r, gamma=gamma)
-            if bs is not None:
-                b = np.zeros(p)
-                b[support] = bs
-                r = y - xs @ bs
-                g = float(_dual_gap(x, y, b, r, lam, gamma))
-                if g <= tol:
-                    beta[:], resid, gap, refit = b, r, g, True
+            cert = None if factor[1] is None else certified_refit(
+                x, xs, y, support, signs[support], lam, factor[1], tol,
+                gamma=gamma)
+            if cert is not None:
+                beta[:], _, gap = cert
+                refit = True
         return gap <= tol
 
     it = _rounds(sweep, lambda: beta, certify, p, beta0 is None, max_iter)
@@ -359,14 +348,13 @@ def _batch_refit(x, gram, ys, signs, rows, lam, gamma, tol, out):
     each certified refit into its row of ``out`` and return those rows.
 
     Row i solves (X_S'X_S + gamma I) b_S = X_S'y_i - n lam s_i, with the
-    Gram block gathered from ``gram`` = X'X.  The refit is certified when b
-    passes the strict test of :func:`_kkt_report` and its duality gap is
-    at most tol[i].  A row with an empty support is not refit, nor, at
-    gamma = 0, one whose X_S fails the rank rule of
-    :func:`support_spectrum`.  Rows are solved in stacks of similar support
-    size, each within REFIT_BLOCK entries per array; padding a support to
-    the stack's size with zero rows and columns, and a unit diagonal for
-    the solve, leaves its solution as it is.
+    Gram block gathered from ``gram`` = X'X, and is kept when
+    :func:`_certificate` accepts it at gap tolerance tol[i].  A row with an
+    empty support is not refit, nor, at gamma = 0, one whose X_S fails the
+    rank rule of :func:`support_spectrum`.  Rows are solved in stacks of
+    similar support size, each within REFIT_BLOCK entries per array;
+    padding a support to the stack's size with zero rows and columns, and a
+    unit diagonal for the solve, leaves its solution as it is.
     """
     n, p = x.shape
     sizes = np.count_nonzero(signs[rows], axis=1)
@@ -400,12 +388,9 @@ def _batch_refit(x, gram, ys, signs, rows, lam, gamma, tol, out):
         np.put_along_axis(beta, cols,
                           np.linalg.solve(g, rhs[..., None])[..., 0], axis=1)
         resid = y - beta @ x.T
-        ok = _kkt_report(resid @ x, beta, n * lam, gamma, KKT_MARGIN).strict
-        if ok.any():
-            ok[ok] = (_dual_gap(x, y[ok], beta[ok], resid[ok], lam, gamma)
-                      <= tol[blk[ok]])
-            out[blk[ok]] = beta[ok]
-            certified.append(blk[ok])
+        ok = _certificate(resid @ x, y, beta, resid, lam, gamma, tol[blk])[0]
+        out[blk[ok]] = beta[ok]
+        certified.append(blk[ok])
     return np.concatenate(certified) if certified else rows[:0]
 
 
@@ -488,7 +473,7 @@ def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
         # drop the live rows whose duality gap passes, then those whose
         # refit on their own support and signs is certified
         nonlocal bl, rl, yl, tl, idx, tried, gram
-        done = _dual_gap(x, yl, bl, rl, lam, gamma) <= tl
+        done = _dual_gap(rl @ x, yl, bl, rl, lam, gamma) <= tl
         signs = np.sign(bl).astype(np.int8)
         rows = np.flatnonzero(~done & np.any(signs != tried, axis=1))
         if rows.size:
@@ -582,8 +567,7 @@ def _svt_shrink(y_matrix, lam: float):
     y_matrix = np.asarray(y_matrix, dtype=float)
     if y_matrix.ndim != 2:
         raise ValueError("input must be a matrix")
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    _check_penalty(lam, 0.0)
     if not np.isfinite(y_matrix).all():
         # the SVD of some non-finite matrices never returns
         raise ValueError("input must be finite")

@@ -473,6 +473,8 @@ def model_size_ci(observed: int, p: int, alpha: float) -> ConfidenceInterval:
     E^2 - (t + 2) s1 E + s s1 <= 0 with s1 = max(s, 1), so the endpoints are
     the two roots (the lower one is 0 when s = 0), clipped to [0, p].
     """
+    if p < 1:
+        raise ValueError("p must be at least 1, not %r" % p)
     if observed < 0 or observed > p:
         raise ValueError("observed size must lie in [0, p]")
     if not (0.0 < alpha < 1.0):

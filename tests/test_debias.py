@@ -39,6 +39,12 @@ def test_direction_validation():
         dm.direction_setup(np.ones(3), None, 4)
     with pytest.raises(ValueError):
         dm.direction_setup(np.zeros(3), None, 3)
+    # a non-finite entry would scale the direction by nan or inf
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="direction must be finite"):
+            dm.direction_setup(np.array([1.0, 0.0, bad]), None, 3)
+        with pytest.raises(ValueError, match="direction must be finite"):
+            dm.direction_setup(np.array([bad, 0.0, 1.0]), np.eye(3), 3)
 
 
 def test_scalar_ols_exact():
@@ -107,8 +113,8 @@ def _refit_on_base_support(x, y, lam, gamma, d):
 
     def coef(z, yv):
         xs = xq0_s + np.outer(z, a0_s)
-        return solvers.fixed_sign_refit(xs, yv, signs, lam,
-                                        solvers.refit_gram(xs, gamma))
+        return np.linalg.solve(solvers._support_factor(xs, gamma)[0],
+                               xs.T @ yv - xs.shape[0] * lam * signs)
     return z0, xq0_s, coef
 
 
@@ -166,7 +172,7 @@ def test_b_hat_matches_monte_carlo_divergence(seed, gamma, shape):
        shape=st.sampled_from([(30, 10), (40, 60), (80, 40)]),
        step=st.sampled_from([1e-4, 1.0]))
 def test_reassembled_product_matches_check_kkt(seed, gamma, shape, step):
-    # certified_refit's certificate may take X'r from factors of X, here
+    # the KKT report takes any X'r, here one formed from factors of X,
     # xq0'r + a0 (z'r) for X = z a0' + xq0
     gen = np.random.default_rng(seed)
     n, p = shape
@@ -237,18 +243,20 @@ def test_pivot_variance_check_ar1_design():
 
 def _inlined_refit(monkeypatch):
     """Give debias the frozen refit it used to inline: the Gram matrix plus
-    n lam sign(beta_S) and one solve, with no rank check."""
-    def gram(xs, gamma):
+    n lam sign(beta_S) and one solve, with no rank check, accepted by the
+    one certificate."""
+    def refit(x, xs, y, support, signs, lam, _, tol, *, gamma=0.0):
         g = xs.T @ xs
         if gamma != 0.0:
             g = g + gamma * np.eye(xs.shape[1])
-        return g
-
-    def refit(xs, y, signs, lam, g):
         rhs_pen = xs.shape[0] * lam * signs
-        return np.linalg.solve(g, xs.T @ y - rhs_pen)
-    monkeypatch.setattr(solvers, "refit_gram", gram)
-    monkeypatch.setattr(solvers, "fixed_sign_refit", refit)
+        beta = np.zeros(x.shape[1])
+        beta[support] = np.linalg.solve(g, xs.T @ y - rhs_pen)
+        resid = y - xs @ beta[support]
+        ok, gap = solvers._certificate(resid @ x, y, beta, resid, lam, gamma,
+                                       tol)
+        return (beta, xs @ beta[support], float(gap)) if ok else None
+    monkeypatch.setattr(solvers, "certified_refit", refit)
 
 
 @pytest.mark.parametrize("gamma", [0.0, 2.0])
@@ -287,20 +295,23 @@ def test_collinear_selection_raises_value_error():
 
 def _reference_debias(x, y, lam, direction, gamma, beta_true):
     """debias_theta by the path it took before the base fit kept its refit:
-    fit_lasso, then refit_gram and certified_refit again on the fit's
-    support and signs, with the descent coefficients as the fallback."""
+    fit_lasso, then the support's Gram matrix (a rank error at gamma = 0
+    when it has none) and certified_refit again on the fit's support and
+    signs at fit_lasso's tolerance, with the descent coefficients as the
+    fallback."""
     a0, u0 = direction.a0, direction.u0
     z0 = x @ u0
     fit = solvers.fit_lasso(RegressionProblem(x, y), lam, gamma=gamma)
     support = fit.support
     xs = x[:, support]
-    gram = solvers.refit_gram(xs, gamma)
-    beta_s = solvers.certified_refit(
-        xs, y, support, np.sign(fit.beta[support]), lam, gram,
-        lambda r: x.T @ r, gamma=gamma)
-    frozen = beta_s is not None
-    if not frozen:
-        beta_s = fit.beta[support]
+    gram, w = solvers._support_factor(xs, gamma)
+    if gram is None:
+        raise solvers._rank_error(np.count_nonzero(w), w.size)
+    cert = solvers.certified_refit(
+        x, xs, y, support, np.sign(fit.beta[support]), lam, gram,
+        solvers.default_tol(y), gamma=gamma)
+    frozen = cert is not None
+    beta_s = (cert[0] if frozen else fit.beta)[support]
     a0_s = a0[support]
     theta_proj = float(a0_s @ beta_s)
     resid = y - xs @ beta_s
@@ -386,14 +397,14 @@ def test_debias_factors_the_base_support_once(monkeypatch, gamma):
     refit = solvers.certified_refit
 
     def recording_refit(*args, **kwargs):
-        refits.append(refit(*args, **kwargs))
-        return refits[-1]
+        refits.append((args[3], refit(*args, **kwargs)))
+        return refits[-1][1]
     monkeypatch.setattr(solvers, "certified_refit", recording_refit)
     eig = _counting(monkeypatch, "eigvalsh")
     solved = _counting(monkeypatch, "solve")
     rep = dm.debias_theta(x, y, 0.3, d, gamma=gamma, beta_true=beta)
-    k = len(refits[0])
+    k = len(refits[0][0])
     assert eig == [(k, k)]
     assert solved == [(k, k), (k, k)]
-    assert len(refits) == 1 and refits[0] is not None
+    assert len(refits) == 1 and refits[0][1] is not None
     assert rep.frozen_support

@@ -130,6 +130,7 @@ def _diagonal(values):
     (np.ones((2, 2, 2)), 1.0, ValueError, 1),
     (np.ones((3, 2)), -1.0, ValueError, 1),
     (_diagonal([np.inf, 1.0]), 1.0, ValueError, 1),   # its SVD never returns
+    (np.ones((3, 2)), np.nan, ValueError, 1),
 ])
 def test_svt_map_fallbacks_are_the_svd(y, lam, error, fallbacks):
     f = svt_map(lam)
@@ -179,6 +180,15 @@ def test_validation():
         mc_divergence(lambda v: v, np.ones(3), 0, RngStream(1))
     with pytest.raises(ValueError):
         mc_divergence(lambda v: v, np.ones(3), 5, RngStream(1), a=0.0)
+    # a probe that overflows the response is an error, not a NaN estimate
+    y = np.linspace(-1.0, 1.0, 20)
+    for two_sided in (False, True):
+        with pytest.raises(ValueError, match="overflows the probe response"):
+            mc_divergence(lambda v: solvers.soft_threshold(v, 0.5), y, 5,
+                          RngStream(1), a=1e308, two_sided=two_sided)
+        est = mc_divergence(lambda v: solvers.soft_threshold(v, 0.5), y, 5,
+                            RngStream(1), a=1e300, two_sided=two_sided)
+        assert np.isfinite(est.value)
 
 
 def test_divergence_table_deterministic():
@@ -269,11 +279,15 @@ def test_lasso_map_refit_equals_cold_fit(seed, gamma, shape, step):
                 cold.mu_hat)
             if len(fits) == before:
                 # refit accepted: it carries a strict certificate at the
-                # default margin and has the cold fit's support and signs
-                (_, _, support, *_), bs = refits[-1]
-                assert bs is not None and solvers.KKT_MARGIN == 1e-6
-                beta = np.zeros(shape[1])
-                beta[support] = bs
+                # default margin, its gap is within fit_lasso's tolerance,
+                # and it has the cold fit's support and signs
+                (_, _, _, support, *_), cert = refits[-1]
+                assert cert is not None and solvers.KKT_MARGIN == 1e-6
+                beta, fitted, gap = cert
+                np.testing.assert_array_equal(mu, fitted)
+                assert not beta[np.setdiff1d(np.arange(shape[1]),
+                                             support)].any()
+                assert gap <= solvers.default_tol(yv)
                 assert check_kkt(prob, lam, beta, gamma=gamma).strict
                 np.testing.assert_array_equal(np.sign(beta),
                                               np.sign(cold.beta))
@@ -286,7 +300,7 @@ def test_lasso_map_keeps_the_base_fit_gram(monkeypatch, gamma):
     # refit for the base fit, and the first probe refits on that matrix
     gen, x, y, lam = _map_problem(21, 60, 40)
     fit = solvers.fit_lasso(RegressionProblem(x, y), lam, gamma=gamma)
-    grams = _recording(monkeypatch, "refit_gram")
+    grams = _recording(monkeypatch, "_support_factor")
     refits = _recording(monkeypatch, "certified_refit")
     eig = []
     eigvalsh = np.linalg.eigvalsh
@@ -296,7 +310,40 @@ def test_lasso_map_keeps_the_base_fit_gram(monkeypatch, gamma):
     assert f.refit[3] is fit.gram and not (grams or refits or eig)
     f(y + 1e-6 * gen.standard_normal(60))
     assert len(refits) == 1 and refits[0][1] is not None
-    assert refits[0][0][5] is fit.gram and not (grams or eig)
+    assert refits[0][0][6] is fit.gram and not (grams or eig)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.3])
+def test_lasso_map_refit_needs_its_gap(monkeypatch, gamma):
+    # a refit that passes the strict KKT test but not the duality gap, here
+    # at tolerance -1, is refused, and the map falls back to descent
+    gen, x, y, lam = _map_problem(21, 60, 40)
+    fit = solvers.fit_lasso(RegressionProblem(x, y), lam, gamma=gamma)
+    yv = y + 1e-6 * gen.standard_normal(60)
+    s = fit.support
+    args = (x, x[:, s], yv, s, np.sign(fit.beta[s]), lam, fit.gram)
+    beta = solvers.certified_refit(*args, solvers.default_tol(yv),
+                                   gamma=gamma)[0]
+    assert solvers.check_kkt(RegressionProblem(x, yv), lam, beta,
+                             gamma=gamma).strict
+    assert solvers.certified_refit(*args, -1.0, gamma=gamma) is None
+    refit = solvers.certified_refit
+    monkeypatch.setattr(solvers, "certified_refit",
+                        lambda *a, **kw: refit(*a[:7], -1.0, **kw))
+    fits = _recording(monkeypatch, "fit_lasso")
+    refits = _recording(monkeypatch, "certified_refit")
+    f = lasso_fitted_map(x, lam, gamma, start=fit)
+    mu = f(yv)
+    # the map's own refit comes first, at the tolerance of a fit_lasso call
+    # at yv, and is refused; so is every refit of the descent fit, which
+    # ends on its gap
+    assert refits[0][0][7] == solvers.default_tol(yv)
+    assert all(out is None for _, out in refits)
+    assert len(fits) == 1 and f.unconverged == 0
+    warm = fits[0][1]
+    assert warm.converged and not warm.refit
+    np.testing.assert_array_equal(mu, warm.mu_hat)
+    np.testing.assert_allclose(mu, x @ beta, rtol=1e-8, atol=1e-10)
 
 
 def test_lasso_map_support_change_falls_back_to_descent(monkeypatch):

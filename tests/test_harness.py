@@ -351,6 +351,27 @@ def test_cli_svt_df_sigma_adds_sure_for_sure(tmp_path):
       "1,0,0,0,0,0,0,0"], "--lam must be nonnegative and finite, not nan"),
     (["debias", "--X", "X", "--y", "y", "--lam", "-1", "--a0",
       "1,0,0,0,0,0,0,0"], "--lam must be nonnegative and finite, not -1.0"),
+    (["mc-div", "--map", "lasso", "--X", "X", "--y", "y", "--lam", "0.1",
+      "--step", "inf"], "--step must be positive and finite, not inf"),
+    (["mc-div", "--map", "soft", "--y", "y", "--lam", "1", "--step", "inf"],
+     "--step must be positive and finite, not inf"),
+    (["mc-div", "--map", "lasso", "--X", "X", "--y", "y", "--lam", "0.1",
+      "--step", "1e308"], "step a = 1e+308 overflows the probe response"),
+    (["mc-div", "--map", "enet", "--X", "X", "--y", "y", "--lam", "0.1",
+      "--gamma", "1", "--step", "1e308"],
+     "step a = 1e+308 overflows the probe response"),
+    (["mc-div", "--map", "svt", "--X", "X", "--lam", "1", "--step", "1e308"],
+     "step a = 1e+308 overflows the probe response"),
+    (["mc-div", "--map", "soft", "--y", "y", "--lam", "1", "--step", "1e308"],
+     "step a = 1e+308 overflows the probe response"),
+    (["debias", "--X", "X", "--y", "y", "--lam", "0.3", "--a0",
+      "1,0,0,0,0,0,0,nan"], "direction must be finite"),
+    (["debias", "--X", "X", "--y", "y", "--lam", "0.3", "--a0",
+      "inf,0,0,0,0,0,0,0"], "direction must be finite"),
+    (["svt-df", "--X", "X", "--lam", "inf"],
+     "--lam must be nonnegative and finite, not inf"),
+    (["model-size", "--observed", "0", "--p", "0"],
+     "p must be at least 1, not 0"),
 ])
 def test_cli_bad_option_values_are_one_line_usage_errors(tmp_path, args,
                                                          message):

@@ -231,7 +231,8 @@ def test_fit_lasso_stops_at_max_iter():
             assert not fit.converged
             resid = prob.y - x @ fit.beta
             assert fit.gap == pytest.approx(
-                solvers._dual_gap(x, prob.y, fit.beta, resid, lam, 0.0),
+                solvers._dual_gap(resid @ x, prob.y, fit.beta, resid, lam,
+                                  0.0),
                 rel=1e-9)
 
 
@@ -250,30 +251,35 @@ def test_stacked_dual_gap_equals_row_gaps(seed, n, p, reps, gamma, scale):
     betas[0] = 0.0
     resids = ys - betas @ x.T
     lam = scale * float(np.max(np.abs(ys @ x))) / n
-    gaps = solvers._dual_gap(x, ys, betas, resids, lam, gamma)
+    gaps = solvers._dual_gap(resids @ x, ys, betas, resids, lam, gamma)
     assert gaps.shape == (reps,)
     for y, beta, resid, gap in zip(ys, betas, resids, gaps):
         assert gap == pytest.approx(
-            solvers._dual_gap(x, y, beta, resid, lam, gamma),
+            solvers._dual_gap(resid @ x, y, beta, resid, lam, gamma),
             rel=1e-12, abs=1e-12)
 
 
 def test_both_kernels_check_the_gap_every_round(monkeypatch):
     # cold calls here never stop a round early: sweep 1 is full, and each
     # round makes ROUND_SWEEPS sweeps, checks the gap and, if the cap
-    # allows, regrows the set with one full sweep
+    # allows, regrows the set with one full sweep.  The gap that a refit's
+    # certificate takes is not a check
     x, ys, lam = _capped_problem()
-    calls = []
-    gap = solvers._dual_gap
+    calls, refits = [], []
+    gap, certificate = solvers._dual_gap, solvers._certificate
     monkeypatch.setattr(solvers, "_dual_gap",
                         lambda *args: calls.append(1) or gap(*args))
+    monkeypatch.setattr(solvers, "_certificate",
+                        lambda *args: refits.append(1) or certificate(*args))
     max_iter = 1 + 2 * (solvers.ROUND_SWEEPS + 1)
     fit = fit_lasso(RegressionProblem(x, ys[0]), lam, max_iter=max_iter)
-    assert (fit.n_iter, fit.converged, len(calls)) == (max_iter, False, 3)
+    assert (fit.n_iter, fit.converged) == (max_iter, False)
+    assert len(calls) - len(refits) == 3
     calls.clear()
+    refits.clear()
     with pytest.raises(solvers.BatchUnconverged):
         fit_lasso_batch(x, ys, lam, max_iter=max_iter)
-    assert len(calls) == 3
+    assert len(calls) - len(refits) == 3
 
 
 def test_batch_sweeps_stop_at_max_iter():
@@ -356,7 +362,8 @@ def test_batch_refit_finishes_rows_in_fewer_sweeps(monkeypatch, gamma):
         np.testing.assert_allclose(
             beta, fit_lasso(prob, lam, gamma=gamma).beta, rtol=0, atol=1e-9)
         assert check_kkt(prob, lam, beta, gamma=gamma).strict
-        assert solvers._dual_gap(x, y, beta, y - x @ beta, lam, gamma) \
+        resid = y - x @ beta
+        assert solvers._dual_gap(resid @ x, y, beta, resid, lam, gamma) \
             <= solvers.default_tol(y)
     # the same call with no row ever certified by its refit
     monkeypatch.setattr(solvers, "_batch_refit",
@@ -385,6 +392,12 @@ def test_batch_refit_keeps_only_certified_rows(gamma):
     np.testing.assert_array_equal(np.sort(rows), np.arange(3, len(ys)))
     assert not out[:3].any()
     np.testing.assert_allclose(out[3:], betas[3:], rtol=0, atol=1e-9)
+    # rows 3 on pass the KKT test, but no gap is at most -1
+    kept = np.zeros_like(betas)
+    assert not solvers._batch_refit(x, x.T @ x, ys, signs,
+                                    np.arange(len(ys)), lam, gamma,
+                                    np.full(len(ys), -1.0), kept).size
+    assert not kept.any()
 
 
 def test_batch_refit_skips_a_collinear_support(monkeypatch):
@@ -437,27 +450,30 @@ def test_scalar_finish_equals_the_batch_row(seed, shape, frac, gamma):
         assert fit.converged
         np.testing.assert_allclose(fit.beta, row, rtol=0, atol=1e-9)
         assert check_kkt(prob, lam, fit.beta, gamma=gamma).strict
-        assert solvers._dual_gap(x, y, fit.beta, y - x @ fit.beta, lam,
+        resid = y - x @ fit.beta
+        assert solvers._dual_gap(resid @ x, y, fit.beta, resid, lam,
                                  gamma) <= solvers.default_tol(y)
 
 
 def _recording_finish(monkeypatch):
     """Record, in order, each duality gap with its beta's signs ("gap"),
-    each certified_refit call's support, signs and answer ("refit") and
-    each sweep ("sweep")."""
+    each certified_refit call's support, signs and answer ("refit"), placed
+    before the gap that the refit's own certificate takes, and each sweep
+    ("sweep")."""
     events = []
     gap, refit, rounds = (solvers._dual_gap, solvers.certified_refit,
                           solvers._rounds)
 
-    def recording_gap(x, y, beta, *args):
-        value = gap(x, y, beta, *args)
+    def recording_gap(xtr, y, beta, *args):
+        value = gap(xtr, y, beta, *args)
         events.append(("gap", (np.sign(beta), value)))
         return value
 
-    def recording_refit(xs, y, support, signs, *args, **kwargs):
-        bs = refit(xs, y, support, signs, *args, **kwargs)
-        events.append(("refit", (support, signs, bs)))
-        return bs
+    def recording_refit(x, xs, y, support, signs, *args, **kwargs):
+        at = len(events)
+        out = refit(x, xs, y, support, signs, *args, **kwargs)
+        events.insert(at, ("refit", (support, signs, out)))
+        return out
 
     def recording_rounds(sweep, *args):
         def counted(cols):
@@ -504,7 +520,7 @@ def test_scalar_fit_refits_once_per_sign_pattern(monkeypatch, warm):
 def test_scalar_fit_never_refits_a_collinear_support(monkeypatch):
     # columns 2 and 5 coincide and the warm start splits the weight over
     # both: at gamma = 0 the support factor rejects every support the fit
-    # visits (the rank rule of refit_gram), so descent alone ends it on
+    # visits (the rank rule of support_spectrum), so descent alone ends it on
     # the gap
     prob = _duplicated_column_problem()
     cold = fit_lasso(prob, 0.1)
@@ -535,13 +551,14 @@ def test_fit_ended_by_a_refit_reports_its_sweeps_and_gap(monkeypatch, gamma):
     prob = RegressionProblem(x, ys[0])
     events = _recording_finish(monkeypatch)
     fit = fit_lasso(prob, lam, gamma=gamma)
-    kind, (*_, bs) = events[-2]
-    assert kind == "refit" and bs is not None and events[-1][0] == "gap"
+    kind, (*_, cert) = events[-2]
+    assert kind == "refit" and cert is not None and events[-1][0] == "gap"
     assert fit.converged
     assert fit.n_iter == sum(kind == "sweep" for kind, _ in events)
     resid = prob.y - x[:, fit.support] @ fit.beta[fit.support]
-    assert fit.gap == solvers._dual_gap(x, prob.y, fit.beta, resid, lam,
-                                        gamma) <= solvers.default_tol(prob.y)
+    assert fit.gap == solvers._dual_gap(resid @ x, prob.y, fit.beta, resid,
+                                        lam, gamma) \
+        <= solvers.default_tol(prob.y)
     assert check_kkt(prob, lam, fit.beta, gamma=gamma).strict
 
 
@@ -725,8 +742,9 @@ def test_lasso_df_is_rank_of_selected_columns():
     jac = xs @ np.linalg.pinv(xs)
     assert np.trace(jac) == pytest.approx(6.0, abs=1e-9)
     assert fit.df_hat == fit.trace_grad_sq == 6.0
-    with pytest.raises(ValueError, match="rank 6 < 7"):
-        solvers.refit_gram(xs, 0.0)
+    # no refit: X_S has rank 6 < 7
+    gram, w = solvers._support_factor(xs, 0.0)
+    assert gram is None and np.count_nonzero(w) == 6
 
 
 def _fit_distance_bound(n, gap_a, gap_b):
@@ -815,10 +833,12 @@ def test_fixed_sign_refit_is_the_minimizer_on_a_stable_support(gamma):
     fit = fit_lasso(prob, 0.2, gamma=gamma)
     s = fit.support
     xs = prob.x[:, s]
-    bs = solvers.fixed_sign_refit(xs, prob.y, np.sign(fit.beta[s]), 0.2,
-                                  solvers.refit_gram(xs, gamma))
-    beta = np.zeros(prob.p)
-    beta[s] = bs
+    beta, fitted, gap = solvers.certified_refit(
+        prob.x, xs, prob.y, s, np.sign(fit.beta[s]), 0.2,
+        solvers._support_factor(xs, gamma)[0], solvers.default_tol(prob.y),
+        gamma=gamma)
+    np.testing.assert_array_equal(fitted, xs @ beta[s])
+    assert gap <= solvers.default_tol(prob.y)
     np.testing.assert_allclose(beta, fit.beta, rtol=1e-9, atol=1e-12)
     assert check_kkt(prob, 0.2, beta, gamma=gamma).strict
 
@@ -831,14 +851,16 @@ def test_fit_keeps_the_gram_matrix_of_its_support(gamma):
     fit = fit_lasso(prob, 0.2, gamma=gamma)
     s = fit.support
     xs = prob.x[:, s]
-    np.testing.assert_array_equal(fit.gram, solvers.refit_gram(xs, gamma))
+    np.testing.assert_array_equal(fit.gram,
+                                  solvers._support_factor(xs, gamma)[0])
     assert (fit.df_hat, fit.trace_grad_sq) == solvers._df_pair(prob.x, s,
                                                                 gamma)
-    bs = solvers.certified_refit(xs, prob.y, s, np.sign(fit.beta[s]), 0.2,
-                                 fit.gram, lambda r: prob.x.T @ r,
-                                 gamma=gamma)
+    beta, _, gap = solvers.certified_refit(
+        prob.x, xs, prob.y, s, np.sign(fit.beta[s]), 0.2, fit.gram,
+        solvers.default_tol(prob.y), gamma=gamma)
     assert fit.refit
-    np.testing.assert_array_equal(fit.beta[s], bs)
+    np.testing.assert_array_equal(fit.beta, beta)
+    assert fit.gap == gap
 
 
 @pytest.mark.parametrize("n, p, gamma", [(30, 10, 0.0), (8, 12, 0.0),
@@ -852,14 +874,16 @@ def test_lam_zero_fit_keeps_the_gram_matrix_of_all_columns(n, p, gamma):
     if gamma == 0.0 and p > n:
         assert fit.gram is None
     else:
-        np.testing.assert_array_equal(fit.gram,
-                                      solvers.refit_gram(prob.x, gamma))
+        np.testing.assert_array_equal(
+            fit.gram, solvers._support_factor(prob.x, gamma)[0])
 
 
-def test_refit_gram_rejects_collinear_columns_without_ridge():
+def test_support_factor_rejects_collinear_columns_without_ridge():
     prob = _duplicated_column_problem()
     xs = prob.x[:, [0, 2, 5]]
-    with pytest.raises(ValueError, match=r"rank deficient \(rank 2 < 3\)"):
-        solvers.refit_gram(xs, 0.0)
-    np.testing.assert_array_equal(solvers.refit_gram(xs, 0.5),
+    gram, w = solvers._support_factor(xs, 0.0)
+    assert gram is None and np.count_nonzero(w) == 2
+    assert str(solvers._rank_error(np.count_nonzero(w), w.size)) == \
+        "selected columns are rank deficient (rank 2 < 3)"
+    np.testing.assert_array_equal(solvers._support_factor(xs, 0.5)[0],
                                   xs.T @ xs + 0.5 * np.eye(3))

@@ -342,3 +342,8 @@ def test_model_size_ci_contains_observed():
     assert ci.contains(7.0)
     with pytest.raises(ValueError):
         model_size_ci(301, 300, 0.1)
+    # log(e p) has no value at p <= 0
+    for p in (0, -1):
+        with pytest.raises(ValueError, match="p must be at least 1, not %d"
+                           % p):
+            model_size_ci(0, p, 0.1)
