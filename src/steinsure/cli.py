@@ -93,7 +93,7 @@ def _load_matrix(path: str) -> np.ndarray:
     return _checked(harness.load_matrix_csv, path)
 
 
-def _load_problem(x_path: str, y_path: str, sigma: float) -> RegressionProblem:
+def _load_problem(x_path: str, y_path: str, sigma=1.0) -> RegressionProblem:
     # a shape mismatch is a usage error too
     return _checked(RegressionProblem, _load_matrix(x_path),
                     _load_matrix(y_path).ravel(), sigma)
@@ -127,11 +127,6 @@ def with_output(fn):
     return fn
 
 
-def with_common(fn):
-    return click.option("--seed", type=int, default=1,
-                        show_default=True)(with_output(fn))
-
-
 @click.group()
 @click.option("--threads", type=int, default=os.cpu_count() or 1,
               show_default="logical cores",
@@ -150,7 +145,8 @@ def main(ctx, threads):
 @click.option("--n", type=int, default=20, show_default=True)
 @click.option("--reps", type=int, default=20000, show_default=True)
 @click.option("--sigma", type=float, default=1.0, show_default=True)
-@with_common
+@click.option("--seed", type=int, default=1, show_default=True)
+@with_output
 @click.pass_context
 def sos_verify(ctx, n, reps, sigma, seed, out, fmt):
     """Monte Carlo check of the second-order identity on the field corpus."""
@@ -164,13 +160,13 @@ def sos_verify(ctx, n, reps, sigma, seed, out, fmt):
 
 
 def _fit_and_report(name, params, x_path, y_path, lams, gamma, sigma,
-                    summarize, seed, out, fmt):
+                    summarize, out, fmt):
     """Fit the l1 / ridged-l1 path at each ``lams`` entry and write
     ``summarize(problem, fits)`` as the results; exit 2 after writing them
     when any fit missed the duality-gap tolerance."""
     problem = _load_problem(x_path, y_path, sigma)
     fits = [solvers.fit_lasso(problem, lam, gamma=gamma) for lam in lams]
-    _emit(harness.results_payload(name, seed, params, summarize(problem, fits)),
+    _emit(harness.results_payload(name, None, params, summarize(problem, fits)),
           out, fmt, None if all(fit.converged for fit in fits) else UNCONVERGED)
 
 
@@ -183,13 +179,13 @@ def _fit_command(name, default_gamma, summarize, doc=None):
     @click.option("--gamma", type=float, default=default_gamma,
                   show_default=True)
     @click.option("--sigma", type=float, default=1.0, show_default=True)
-    @with_common
-    def cmd(x_path, y_path, lam, gamma, sigma, seed, out, fmt):
+    @with_output
+    def cmd(x_path, y_path, lam, gamma, sigma, out, fmt):
         _check_penalty("--lam", lam)
         _check_penalty("--gamma", gamma)
         _fit_and_report(name, {"lam": lam, "gamma": gamma, "sigma": sigma},
                         x_path, y_path, [lam], gamma, sigma, summarize,
-                        seed, out, fmt)
+                        out, fmt)
     cmd.__name__ = name
     return cmd
 
@@ -232,8 +228,8 @@ _fit_command("sure4sure", 0.0, _sure4sure_summary,
 @click.option("--sigma", type=float, default=None,
               help="Noise level; adds sure, r_hat and r_prime of the SVT "
                    "estimate.")
-@with_common
-def svt_df(x_path, lam, sigma, seed, out, fmt):
+@with_output
+def svt_df(x_path, lam, sigma, out, fmt):
     """Singular value thresholding: its exact divergence and tr J^2."""
     _check_penalty("--lam", lam)
     _check(sigma is None or 0.0 <= sigma < math.inf,
@@ -249,7 +245,7 @@ def svt_df(x_path, lam, sigma, seed, out, fmt):
                                   res.trace_grad_sq, sigma)
         params["sigma"] = sigma
         results.update(sure=rep.sure, r_hat=rep.r_hat, r_prime=rep.r_prime)
-    _emit(harness.results_payload("svt_df", seed, params, results), out, fmt)
+    _emit(harness.results_payload("svt_df", None, params, results), out, fmt)
 
 
 @main.command("mc-div")
@@ -262,12 +258,15 @@ def svt_df(x_path, lam, sigma, seed, out, fmt):
 @click.option("--m", type=int, default=100, show_default=True)
 @click.option("--step", type=float, default=None)
 @click.option("--two-sided", is_flag=True, default=False)
-@with_common
+@click.option("--seed", type=int, default=1, show_default=True)
+@with_output
 def mc_div(map_kind, x_path, y_path, lam, gamma, m, step, two_sided,
            seed, out, fmt):
     """Monte Carlo divergence of a fitted-value map at the given data."""
     _check_penalty("--lam", lam)
     _check_penalty("--gamma", gamma)
+    _check(gamma == 0.0 or map_kind == "enet",
+           "--gamma must be 0 for --map %s, not %r" % (map_kind, gamma))
     _check(m >= 1, "--m must be at least 1, not %d" % m)
     _check(step is None or 0.0 < step < math.inf,
            "--step must be positive and finite, not %r" % step)
@@ -285,7 +284,7 @@ def mc_div(map_kind, x_path, y_path, lam, gamma, m, step, two_sided,
         x = _load_matrix(x_path)
         y = _load_matrix(y_path).ravel()
         f = divergence_mc.lasso_fitted_map(x, lam, gamma)
-    # a probe that overflows the response is a usage error
+    # a step that overflows the probe or is below y's resolution: usage error
     est = _checked(divergence_mc.mc_divergence, f, y, m, RngStream(seed),
                    a=step, two_sided=two_sided)
     payload = harness.results_payload("mc_div", seed, {
@@ -302,8 +301,8 @@ def mc_div(map_kind, x_path, y_path, lam, gamma, m, step, two_sided,
 @click.option("--lams", type=str, required=True,
               help="Comma-separated penalty levels.")
 @click.option("--sigma", type=float, default=1.0, show_default=True)
-@with_common
-def tune(x_path, y_path, lams, sigma, seed, out, fmt):
+@with_output
+def tune(x_path, y_path, lams, sigma, out, fmt):
     """Pick the candidate penalty with the smallest risk estimate."""
     grid = _floats("--lams", lams)
     for lam in grid:
@@ -316,14 +315,15 @@ def tune(x_path, y_path, lams, sigma, seed, out, fmt):
         return {"sure_values": values, "selected_index": pick,
                 "selected_lam": grid[pick]}
     _fit_and_report("tune", {"lams": grid}, x_path, y_path, grid, 0.0, sigma,
-                    summarize, seed, out, fmt)
+                    summarize, out, fmt)
 
 
 @main.command("coverage")
 @click.option("--n", type=int, default=500, show_default=True)
 @click.option("--reps", type=int, default=2000, show_default=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
-@with_common
+@click.option("--seed", type=int, default=1, show_default=True)
+@with_output
 @click.pass_context
 def coverage(ctx, n, reps, alpha, seed, out, fmt):
     """Replication study of the loss confidence regions."""
@@ -341,11 +341,11 @@ def coverage(ctx, n, reps, alpha, seed, out, fmt):
               help="Observed support size.")
 @click.option("--p", type=int, required=True)
 @click.option("--alpha", type=float, default=0.05, show_default=True)
-@with_common
-def model_size(observed, p, alpha, seed, out, fmt):
+@with_output
+def model_size(observed, p, alpha, out, fmt):
     """Confidence interval for the expected support size."""
     ci = _checked(stein.model_size_ci, observed, p, alpha)
-    payload = harness.results_payload("model_size", seed, {
+    payload = harness.results_payload("model_size", None, {
         "observed": observed, "p": p, "alpha": alpha,
     }, {"lower": ci.lower, "upper": ci.upper, "level": ci.level})
     _emit(payload, out, fmt)
@@ -357,20 +357,19 @@ def model_size(observed, p, alpha, seed, out, fmt):
 @click.option("--lam", type=float, required=True)
 @click.option("--a0", type=str, required=True,
               help="Comma-separated contrast direction of length p.")
-@click.option("--sigma", type=float, default=1.0, show_default=True)
-@with_common
-def debias(x_path, y_path, lam, a0, sigma, seed, out, fmt):
+@with_output
+def debias(x_path, y_path, lam, a0, out, fmt):
     """De-biased estimate of the contrast <a0, beta>."""
     _check_penalty("--lam", lam)
-    problem = _load_problem(x_path, y_path, sigma)
+    problem = _load_problem(x_path, y_path)
     a0_vec = np.array(_floats("--a0", a0))
     _check(a0_vec.size == problem.p, "--a0 must have length p = %d" % problem.p)
     direction = _checked(debias_mod.direction_setup, a0_vec, None,
                          problem.p)
     # a collinear selection or too dense a fit is a usage error
     rep = _checked(debias_mod.debias_theta, problem.x, problem.y, lam,
-                   direction, sigma=sigma)
-    payload = harness.results_payload("debias", seed, {"lam": lam}, {
+                   direction)
+    payload = harness.results_payload("debias", None, {"lam": lam}, {
         "theta_hat": rep.theta_hat, "theta_proj": rep.theta_proj,
         "nu_hat": rep.nu_hat, "b_hat": rep.b_hat, "a_hat": rep.a_hat,
         "frozen_support": rep.frozen_support,

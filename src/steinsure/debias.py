@@ -74,7 +74,6 @@ class DebiasReport:
 
 def debias_theta(x: np.ndarray, y: np.ndarray, lam: float,
                  direction: Direction, *, gamma: float = 0.0,
-                 sigma: float = 1.0,
                  beta_true: np.ndarray | None = None) -> DebiasReport:
     """De-biased contrast estimate with closed-form interaction corrections.
 
@@ -92,7 +91,7 @@ def debias_theta(x: np.ndarray, y: np.ndarray, lam: float,
     a0, u0 = direction.a0, direction.u0
     z0 = x @ u0
 
-    fit = solvers.fit_lasso(RegressionProblem(x, y, sigma), lam, gamma=gamma)
+    fit = solvers.fit_lasso(RegressionProblem(x, y), lam, gamma=gamma)
     # the Gram matrix is the fit's own, on every column at lam = 0
     support = np.arange(x.shape[1]) if lam == 0.0 else fit.support
     if fit.gram is None:   # gamma = 0, where df_hat is rank(X_S)

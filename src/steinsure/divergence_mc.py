@@ -47,17 +47,20 @@ def mc_divergence(f, y, m: int, stream: RngStream, a: float | None = None,
     ``f`` maps arrays of the shape of ``y`` to arrays of the same shape
     (vectors or matrices); warm-starting across the perturbed solves is the
     map's own business.  A step ``a`` whose probe y + a z (or y - a z)
-    overflows at a finite ``y`` raises ValueError.
+    overflows at a finite ``y``, or that is not above 1e6 eps (1 + max|y|), the
+    resolution of ``y``, raises ValueError.
     """
     y = np.asarray(y, dtype=float)
     if m < 1:
         raise ValueError("m must be positive")
     if a is None:
         a = default_step(y)
-    if a <= 0:
-        raise ValueError("step a must be positive")
     dim = y.size
     y_max = float(np.max(np.abs(y), initial=0.0))
+    # a smaller step lets rounding move a quotient by over 1e-6 of a unit slope
+    if not a > 1e6 * np.finfo(float).eps * (1.0 + y_max):
+        raise ValueError("step a = %r is not above the resolution of y, "
+                         "1e6 eps (1 + max|y|)" % a)
     gen = stream.generator()
     f0 = None if two_sided else np.asarray(f(y), dtype=float)
     terms = np.empty(m)
@@ -167,7 +170,7 @@ def svt_map(lam: float):
     return _SvtMap(lam)
 
 
-def _realization(f, y, m_grid, n_real, stream, a, two_sided, index):
+def _realization(f, y, m_grid, n_real, stream, a, index):
     """Table entry ``index``: one probe estimate on a fresh copy of ``f``.
 
     Returns the estimate and the copy's counters.  A copy keeps no state
@@ -177,14 +180,13 @@ def _realization(f, y, m_grid, n_real, stream, a, two_sided, index):
     counters = [name for name in COUNTERS if hasattr(g, name)]
     for name in counters:
         setattr(g, name, 0)
-    est = mc_divergence(g, y, m_grid[index // n_real], stream.child(index),
-                        a=a, two_sided=two_sided)
+    est = mc_divergence(g, y, m_grid[index // n_real], stream.child(index), a)
     return est.value, {name: getattr(g, name) for name in counters}
 
 
 def divergence_table(f, y, df_exact: float, m_grid, n_real: int,
                      stream: RngStream, a: float | None = None,
-                     two_sided: bool = False, threads: int = 1) -> list[dict]:
+                     threads: int = 1) -> list[dict]:
     """Mean/std of the probe estimator over independent probe sets.
 
     The data point ``y`` is held fixed; for each probe count in ``m_grid``
@@ -198,7 +200,7 @@ def divergence_table(f, y, df_exact: float, m_grid, n_real: int,
     ``fallbacks`` counts are added to ``f``'s.
     """
     out = replicate(functools.partial(_realization, f, y, m_grid, n_real,
-                                      stream, a, two_sided),
+                                      stream, a),
                     len(m_grid) * n_real, threads)
     for _, counts in out:
         for name, count in counts.items():

@@ -404,9 +404,8 @@ def _debias_rep(seed, n, p, s0, lam, sigma, amplitude, rep):
     beta = _sparse_beta(p, s0, amplitude)
     eps = sigma * RngStream(seed, 50001 + 3 * rep).generator().standard_normal(n)
     y = x @ beta + eps
-    direction = debias_mod.direction_setup(np.eye(p)[0], None, p)
-    rep_out = debias_mod.debias_theta(x, y, lam, direction, sigma=sigma,
-                                      beta_true=beta)
+    direction = debias_mod.direction_setup(np.eye(1, p)[0], None, p)
+    rep_out = debias_mod.debias_theta(x, y, lam, direction, beta_true=beta)
     return (rep_out.pivot, rep_out.v_star, rep_out.theta_hat,
             rep_out.frozen_support, rep_out.unconverged)
 
@@ -544,12 +543,12 @@ EXPERIMENTS = {
 class ExperimentConfig:
     """A named experiment and its keyword parameters.
 
-    An unknown kind, a parameter the experiment does not take, fewer than
-    two replications (``reps``) or realizations (``n_real``), a ``threads``,
-    size (``n``, ``p``, ``n_cand``) or ``n_list`` entry that is not an
-    integer of at least 1, a negative, infinite or NaN ``lam``, a ``sigma``
-    that is not positive and finite and an ``alpha`` outside (0, 1) raise
-    ValueError here, before anything runs.
+    An unknown kind, a parameter the experiment does not take (``threads`` too:
+    the worker count is ``run_experiment``'s), fewer than two replications
+    (``reps``) or realizations (``n_real``), a size (``n``, ``p``, ``n_cand``)
+    or ``n_list`` entry that is not an integer of at least 1, a negative,
+    infinite or NaN ``lam``, a ``sigma`` that is not positive and finite and an
+    ``alpha`` outside (0, 1) raise ValueError here, before anything runs.
     """
     kind: str
     seed: int = 1
@@ -560,17 +559,16 @@ class ExperimentConfig:
             raise ValueError("unknown experiment %r (choose from %s)"
                              % (self.kind, ", ".join(sorted(EXPERIMENTS))))
         takes = inspect.signature(EXPERIMENTS[self.kind]).parameters
-        unknown = sorted(set(self.params) - (set(takes) - {"seed"}))
+        unknown = sorted(set(self.params)
+                         - (set(takes) - {"seed", "threads"}))
         if unknown:
             raise ValueError("experiment %r takes no parameter %s"
                              % (self.kind, ", ".join(map(repr, unknown))))
         # a spread needs two replications, or two realizations per table
-        # row, a pool at least one worker, and a design at least one row,
-        # column and candidate
+        # row, and a design at least one row, column and candidate
         counts = [(name, self.params.get(name, least), least)
-                  for name, least in (("reps", 2), ("n_real", 2),
-                                      ("threads", 1), ("n", 1), ("p", 1),
-                                      ("n_cand", 1))]
+                  for name, least in (("reps", 2), ("n_real", 2), ("n", 1),
+                                      ("p", 1), ("n_cand", 1))]
         counts += [("n_list entry", n, 1) for n in self.params.get("n_list", ())]
         for name, count, least in counts:
             if (not isinstance(count, int) or isinstance(count, bool)
@@ -600,14 +598,13 @@ class ExperimentConfig:
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
     """The payload of ``config``'s experiment.
 
-    An experiment that takes ``threads`` runs on ``threads`` workers unless
-    its params name their own count.  Results do not depend on the count,
-    and a count not in the params is not written into the payload, so the
-    payload bytes do not depend on ``threads`` either.
+    An experiment that takes ``threads`` runs on ``threads`` workers.  Its
+    results do not depend on the count, and the count is not written into
+    the payload, so the payload bytes do not depend on ``threads`` either.
     """
     fn = EXPERIMENTS[config.kind]
     params = dict(config.params)
     if "threads" in inspect.signature(fn).parameters:
-        params.setdefault("threads", threads)
+        params["threads"] = threads
     results = fn(seed=config.seed, **params)
     return results_payload(config.kind, config.seed, config.params, results)

@@ -191,6 +191,28 @@ def test_validation():
         assert np.isfinite(est.value)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_step_below_the_resolution_of_y_is_an_error():
+    # every entry is above the threshold, so each probe term is z'z and the
+    # divergence is 20; a step that rounding swallows read 0 or overflowed
+    y = 3.0 + np.linspace(0.5, 2.0, 20)
+    soft = lambda v: solvers.soft_threshold(v, 0.5)
+    bound = 1e6 * np.finfo(float).eps * (1.0 + y.max())
+    for a in (0.0, 1e-320, 1e-300, 1e-17, bound):
+        with pytest.raises(ValueError, match="not above the resolution of y"):
+            mc_divergence(soft, y, 5, RngStream(1), a=a)
+    # at X = I the lasso is soft thresholding at n lam = 0.5
+    lasso = lasso_fitted_map(np.eye(20), 0.025)
+    with pytest.raises(ValueError, match="not above the resolution of y"):
+        mc_divergence(lasso, y, 5, RngStream(1), a=1e-320)
+    # just above it, each probe term is z'z to about 1e-6 per unit slope
+    gen = RngStream(1).generator()
+    exact = np.mean([z @ z for z in gen.standard_normal((50, 20))])
+    for f in (soft, lasso):
+        est = mc_divergence(f, y, 50, RngStream(1), a=2.0 * bound)
+        assert est.value == pytest.approx(exact, rel=1e-5)
+
+
 def test_divergence_table_deterministic():
     gen = np.random.default_rng(10)
     a = gen.standard_normal((8, 8)) / 3

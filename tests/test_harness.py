@@ -342,8 +342,7 @@ def test_cli_svt_df_sigma_adds_sure_for_sure(tmp_path):
      "sigma must be nonnegative and finite, not nan"),
     (["lasso", "--X", "X", "--y", "y", "--lam", "0.1", "--sigma", "nan"],
      "sigma must be nonnegative and finite, not nan"),
-    (["debias", "--X", "X", "--y", "y", "--lam", "0.3", "--a0",
-      "1,0,0,0,0,0,0,0", "--sigma", "inf"],
+    (["sure4sure", "--X", "X", "--y", "y", "--lam", "0.1", "--sigma", "inf"],
      "sigma must be nonnegative and finite, not inf"),
     (["tune", "--X", "X", "--y", "y", "--lams", "0.1,0.2", "--sigma", "inf"],
      "sigma must be nonnegative and finite, not inf"),
@@ -372,6 +371,18 @@ def test_cli_svt_df_sigma_adds_sure_for_sure(tmp_path):
      "--lam must be nonnegative and finite, not inf"),
     (["model-size", "--observed", "0", "--p", "0"],
      "p must be at least 1, not 0"),
+    # only the enet map has a ridge penalty
+    (["mc-div", "--map", "svt", "--X", "X", "--lam", "1", "--gamma", "1"],
+     "--gamma must be 0 for --map svt, not 1.0"),
+    (["mc-div", "--map", "soft", "--y", "y", "--lam", "1", "--gamma", "1"],
+     "--gamma must be 0 for --map soft, not 1.0"),
+    (["mc-div", "--map", "lasso", "--X", "X", "--y", "y", "--lam", "0.1",
+      "--gamma", "1"], "--gamma must be 0 for --map lasso, not 1.0"),
+    # a step below the resolution of y would print a wrong estimate
+    (["mc-div", "--map", "soft", "--y", "y", "--lam", "0.5", "--step",
+      "1e-17"], "step a = 1e-17 is not above the resolution of y"),
+    (["mc-div", "--map", "lasso", "--X", "X", "--y", "y", "--lam", "0.1",
+      "--step", "1e-320"], "step a = 1e-320 is not above the resolution of y"),
 ])
 def test_cli_bad_option_values_are_one_line_usage_errors(tmp_path, args,
                                                          message):
@@ -419,8 +430,43 @@ def test_cli_run_help_lists_no_seed():
     res = runner.invoke(cli.main, ["run", "--help"])
     assert res.exit_code == 0
     assert "--config" in res.stdout and "--seed" not in res.stdout
-    res = runner.invoke(cli.main, ["lasso", "--help"])
-    assert "--seed" in res.stdout
+    # the commands that draw keep their seed
+    for command in ("sos-verify", "coverage", "mc-div"):
+        res = runner.invoke(cli.main, [command, "--help"])
+        assert res.exit_code == 0 and "--seed" in res.stdout, command
+
+
+@pytest.mark.parametrize("args", [
+    ["lasso", "--X", "X", "--y", "y", "--lam", "0.3"],
+    ["enet", "--X", "X", "--y", "y", "--lam", "0.3"],
+    ["sure", "--X", "X", "--y", "y", "--lam", "0.3"],
+    ["sure4sure", "--X", "X", "--y", "y", "--lam", "0.3"],
+    ["tune", "--X", "X", "--y", "y", "--lams", "0.1,0.3"],
+    ["svt-df", "--X", "X", "--lam", "1.0"],
+    ["model-size", "--observed", "3", "--p", "8"],
+    ["debias", "--X", "X", "--y", "y", "--lam", "0.3", "--a0",
+     "1,0,0,0,0,0,0,0"],
+], ids=lambda args: args[0])
+def test_cli_commands_that_draw_nothing_take_no_seed(tmp_path, args):
+    # their outputs are deterministic in the input, so a seed would change
+    # only its echo: the option is a click usage error and the envelope's
+    # seed is null
+    xp, yp = _write_problem(tmp_path)
+    args = [{"X": xp, "y": yp}.get(a, a) for a in args]
+    res = runner.invoke(cli.main, args)
+    assert res.exit_code == 0
+    assert json.loads(res.stdout)["seed"] is None
+    res = runner.invoke(cli.main, args + ["--seed", "3"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)   # no traceback
+    assert res.stdout == ""
+    errors = [line for line in res.stderr.splitlines()
+              if line.startswith("Error:")]
+    # click may add a suggestion ("Did you mean '--observed'?")
+    assert len(errors) == 1
+    assert errors[0].startswith("Error: No such option '--seed'.")
+    res = runner.invoke(cli.main, [args[0], "--help"])
+    assert res.exit_code == 0 and "--seed" not in res.stdout
 
 
 def test_cli_non_finite_input_is_usage_error(tmp_path):
@@ -450,14 +496,15 @@ def test_cli_non_finite_input_is_usage_error(tmp_path):
      "lam must be finite and nonnegative, not -1.0"),
     ({"kind": "debias", "params": {"lam": math.nan}},
      "lam must be finite and nonnegative, not nan"),
-    ({"kind": "debias", "params": {"threads": "2"}},
-     "threads must be an integer of at least 1, not '2'"),
-    ({"kind": "debias", "params": {"threads": 1.5}},
-     "threads must be an integer of at least 1, not 1.5"),
-    ({"kind": "mc_divergence", "params": {"kind": "svt", "threads": 0}},
-     "threads must be an integer of at least 1, not 0"),
-    ({"kind": "debias", "params": {"threads": True}},
-     "threads must be an integer of at least 1, not True"),
+    # the worker count is --threads, never a config parameter
+    ({"kind": "debias", "params": {"threads": 2}},
+     "experiment 'debias' takes no parameter 'threads'"),
+    ({"kind": "selection", "params": {"threads": 1}},
+     "experiment 'selection' takes no parameter 'threads'"),
+    ({"kind": "model_size", "params": {"threads": 1}},
+     "experiment 'model_size' takes no parameter 'threads'"),
+    ({"kind": "sparse_re", "params": {"threads": 1}},
+     "experiment 'sparse_re' takes no parameter 'threads'"),
     ({"kind": "sos", "params": {"n_list": [5, 0]}},
      "n_list entry must be an integer of at least 1, not 0"),
     ({"kind": "unbiasedness", "params": {"p": 0}},
@@ -473,6 +520,8 @@ def test_cli_non_finite_input_is_usage_error(tmp_path):
     # raised by the experiment, not the config
     ({"kind": "mc_divergence", "params": {"kind": "foo"}},
      "kind must be 'svt' or 'enet'"),
+    ({"kind": "mc_divergence", "params": {"kind": "svt", "threads": 1}},
+     "experiment 'mc_divergence' takes no parameter 'threads'"),
 ])
 def test_cli_run_bad_config_is_one_line_usage_error(tmp_path, config,
                                                     message):
@@ -531,17 +580,31 @@ def test_cli_sos_verify_params_reproduce_the_run(tmp_path):
 
 def test_cli_debias(tmp_path):
     xp, yp = _write_problem(tmp_path)
-    outputs = []
-    for seed in ("1", "7"):
-        res = runner.invoke(cli.main, ["debias", "--X", xp, "--y", yp,
-                                       "--lam", "0.3", "--seed", seed,
-                                       "--a0", ",".join(["1"] + ["0"] * 7)])
-        assert res.exit_code == 0
-        assert "theta_hat" in json.loads(res.output)["results"]
-        outputs.append(res.stdout)
-    # the corrections draw nothing: only the envelope's seed differs
-    assert '"seed": 1' in outputs[0]
-    assert outputs[0].replace('"seed": 1', '"seed": 7') == outputs[1]
+    args = ["debias", "--X", xp, "--y", yp, "--lam", "0.3",
+            "--a0", ",".join(["1"] + ["0"] * 7)]
+    res = runner.invoke(cli.main, args)
+    assert res.exit_code == 0
+    payload = json.loads(res.stdout)
+    assert "theta_hat" in payload["results"]
+    # the corrections draw nothing and need no noise level
+    assert payload["seed"] is None and payload["params"] == {"lam": 0.3}
+    res = runner.invoke(cli.main, args + ["--sigma", "1"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)   # no traceback
+    assert res.stdout == ""
+    assert [line for line in res.stderr.splitlines()
+            if line.startswith("Error:")] == [
+        "Error: No such option '--sigma'."]
+
+
+def test_cli_mc_div_lasso_runs_at_zero_gamma(tmp_path):
+    xp, yp = _write_problem(tmp_path)
+    args = ["mc-div", "--map", "lasso", "--X", xp, "--y", yp, "--lam", "0.3",
+            "--m", "5"]
+    for extra in ([], ["--gamma", "0"]):
+        res = runner.invoke(cli.main, args + extra)
+        assert res.exit_code == 0, extra
+        assert json.loads(res.stdout)["params"]["gamma"] == 0.0
 
 
 def test_cli_non_finite_values_are_json_null(tmp_path):
@@ -597,8 +660,9 @@ def test_cli_unconverged_fit_exits_2(tmp_path, monkeypatch):
     # fit after one sweep; at lam = 0.05 the support of one sweep is wrong
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "debias", "params": {
-        "n": 40, "p": 30, "s0": 2, "reps": 4, "lam": 0.05, "threads": 1}}))
-    res = runner.invoke(cli.main, ["run", "--config", str(cfg)])
+        "n": 40, "p": 30, "s0": 2, "reps": 4, "lam": 0.05}}))
+    res = runner.invoke(cli.main, ["--threads", "1", "run", "--config",
+                                   str(cfg)])
     assert res.exit_code == 2
     assert "duality-gap tolerance" in res.stderr
     assert json.loads(res.stdout)["results"]["unconverged"] > 0
