@@ -130,9 +130,8 @@ def with_output(fn):
 @click.group()
 @click.option("--threads", type=int, default=os.cpu_count() or 1,
               show_default="logical cores",
-              help="Worker processes for `run` of an mc_divergence, debias, "
-                   "selection, model_size or sparse_re config, at most one "
-                   "per usable core; results do not depend on it.")
+              help="Worker processes for `run`, at most one per usable "
+                   "core; results do not depend on it.")
 @click.pass_context
 def main(ctx, threads):
     """Unbiased risk estimation, second-order refinements, and friends."""
@@ -249,8 +248,8 @@ def svt_df(x_path, lam, sigma, out, fmt):
 
 
 @main.command("mc-div")
-@click.option("--map", "map_kind", type=click.Choice(["lasso", "enet", "svt",
-                                                      "soft"]), required=True)
+@click.option("--map", "map_kind", type=click.Choice(["enet", "svt", "soft"]),
+              required=True)
 @click.option("--X", "x_path", type=click.Path(exists=True), default=None)
 @click.option("--y", "y_path", type=click.Path(exists=True), default=None)
 @click.option("--lam", type=float, required=True)
@@ -280,7 +279,7 @@ def mc_div(map_kind, x_path, y_path, lam, gamma, m, step, two_sided,
         f = lambda v: solvers.soft_threshold(v, lam)
     else:
         _check(x_path is not None and y_path is not None,
-               "--map %s requires --X and --y" % map_kind)
+               "--map enet requires --X and --y")
         x = _load_matrix(x_path)
         y = _load_matrix(y_path).ravel()
         f = divergence_mc.lasso_fitted_map(x, lam, gamma)

@@ -5,13 +5,14 @@ and quantile, and the standard error of a sample variance.
 Random numbers are produced by counter-based Philox generators keyed by a
 ``(seed, stream_id)`` pair, so any replication can be regenerated in
 isolation without advancing global state, and :func:`replicate` can run
-replications on any number of worker processes.
+replications on any number of worker processes, set by :func:`workers`.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import contextvars
 import ctypes
 import functools
 import math
@@ -54,6 +55,8 @@ class RngStream:
 _POOL_CONTEXT = multiprocessing.get_context(
     "fork" if sys.platform.startswith("linux") else "spawn")
 _unit = None    # the unit a pool worker runs, set by _install
+# the worker count of replicate, set by workers()
+_WORKERS = contextvars.ContextVar("workers", default=1)
 # (get, set) thread-count functions of the OpenBLAS builds in the numpy and
 # scipy wheels: numpy's has a 64-bit integer interface with suffixed names
 _BLAS_THREAD_SYMBOLS = (
@@ -115,6 +118,7 @@ def one_blas_thread():
 def _install(unit) -> None:
     global _unit
     _unit = unit
+    _WORKERS.set(1)     # a unit never opens a pool of its own
     # a worker ends with its pool, so its count needs no giving back
     for _, set_threads in _blas_thread_controls():
         set_threads(1)
@@ -135,28 +139,38 @@ def worker_count(threads: int, n_units: int) -> int:
     return max(1, min(threads, n_units, cores))
 
 
-def replicate(unit, n_units: int, workers: int = 1,
-              chunksize: int = 1) -> list:
-    """``[unit(i) for i in range(n_units)]`` on up to ``workers`` processes.
+@contextlib.contextmanager
+def workers(n: int):
+    """Run the body with :func:`replicate` on up to ``n`` processes."""
+    token = _WORKERS.set(n)
+    try:
+        yield
+    finally:
+        _WORKERS.reset(token)
+
+
+def replicate(unit, n_units: int, chunksize: int = 1) -> list:
+    """``[unit(i) for i in range(n_units)]`` on the :func:`workers` count.
 
     At one worker (see :func:`worker_count`) the units run in this process;
     otherwise in one process pool, which receives ``unit`` once per worker
     through its initializer, so a callable that carries large arrays is not
-    sent again with each index.  Results come back in index order, so when
-    ``unit(i)`` depends on ``i`` alone they do not depend on ``workers``.
-    A unit that keeps counters must return them: a worker's own state does
-    not come back.  Where workers are spawned (not on Linux), ``unit`` must
-    pickle and the calling script must guard its entry point with
-    ``if __name__ == "__main__"``.  Every unit runs with BLAS at one thread
-    (:func:`one_blas_thread`), in the workers and in this process alike.
+    sent again with each index.  A worker's own count is 1.  Results come
+    back in index order, so when ``unit(i)`` depends on ``i`` alone they do
+    not depend on the count.  A unit that keeps counters must return them:
+    a worker's own state does not come back.  Where workers are spawned
+    (not on Linux), ``unit`` must pickle and the calling script must guard
+    its entry point with ``if __name__ == "__main__"``.  Every unit runs
+    with BLAS at one thread (:func:`one_blas_thread`), in the workers and in
+    this process alike.
     """
-    workers = worker_count(workers, n_units)
-    if workers == 1:
+    n = worker_count(_WORKERS.get(), n_units)
+    if n == 1:
         with one_blas_thread():
             return [unit(i) for i in range(n_units)]
     _blas_thread_controls()     # found once here; forked workers inherit it
     with concurrent.futures.ProcessPoolExecutor(
-            workers, mp_context=_POOL_CONTEXT, initializer=_install,
+            n, mp_context=_POOL_CONTEXT, initializer=_install,
             initargs=(unit,)) as pool:
         return list(pool.map(_run_unit, range(n_units), chunksize=chunksize))
 

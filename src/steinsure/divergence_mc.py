@@ -46,13 +46,15 @@ def mc_divergence(f, y, m: int, stream: RngStream, a: float | None = None,
 
     ``f`` maps arrays of the shape of ``y`` to arrays of the same shape
     (vectors or matrices); warm-starting across the perturbed solves is the
-    map's own business.  A step ``a`` whose probe y + a z (or y - a z)
-    overflows at a finite ``y``, or that is not above 1e6 eps (1 + max|y|), the
-    resolution of ``y``, raises ValueError.
+    map's own business.  A non-finite ``y``, and a step ``a`` whose probe
+    y + a z (or y - a z) overflows or that is not above 1e6 eps (1 + max|y|),
+    the resolution of ``y``, raise ValueError.
     """
     y = np.asarray(y, dtype=float)
     if m < 1:
         raise ValueError("m must be positive")
+    if not np.isfinite(y).all():
+        raise ValueError("y must be finite")
     if a is None:
         a = default_step(y)
     dim = y.size
@@ -68,7 +70,7 @@ def mc_divergence(f, y, m: int, stream: RngStream, a: float | None = None,
         z = gen.standard_normal(y.shape)
         # rounding is monotone, so max|y| + a max|z| bounds |y_i +- a z_i|
         reach = y_max + a * float(np.max(np.abs(z), initial=0.0))
-        if y_max < math.inf <= reach:
+        if reach == math.inf:
             raise ValueError("step a = %r overflows the probe response" % a)
         if two_sided:
             h = (np.asarray(f(y + a * z), dtype=float)
@@ -185,8 +187,7 @@ def _realization(f, y, m_grid, n_real, stream, a, index):
 
 
 def divergence_table(f, y, df_exact: float, m_grid, n_real: int,
-                     stream: RngStream, a: float | None = None,
-                     threads: int = 1) -> list[dict]:
+                     stream: RngStream, a: float | None = None) -> list[dict]:
     """Mean/std of the probe estimator over independent probe sets.
 
     The data point ``y`` is held fixed; for each probe count in ``m_grid``
@@ -195,13 +196,13 @@ def divergence_table(f, y, df_exact: float, m_grid, n_real: int,
 
     Each estimate starts from a shallow copy of ``f`` as it stands, draws
     from its own substream of ``stream`` and runs as one unit of
-    :func:`core.replicate` on up to ``threads`` processes, so the rows do
-    not depend on ``threads``.  The copies' ``unconverged`` and
-    ``fallbacks`` counts are added to ``f``'s.
+    :func:`core.replicate`, so the rows do not depend on the worker count.
+    The copies' ``unconverged`` and ``fallbacks`` counts are added to
+    ``f``'s.
     """
     out = replicate(functools.partial(_realization, f, y, m_grid, n_real,
                                       stream, a),
-                    len(m_grid) * n_real, threads)
+                    len(m_grid) * n_real)
     for _, counts in out:
         for name, count in counts.items():
             setattr(f, name, getattr(f, name) + count)

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtr
 
-from .core import RegressionProblem, RngStream, replicate, sample_variance
+from .core import (RegressionProblem, RngStream, gaussian_design, replicate,
+                   sample_variance, workers)
 from . import debias as debias_mod
 from . import divergence_mc, selection, solvers, stein
 
@@ -114,11 +115,10 @@ def _sparse_beta(p: int, s0: int, amplitude: float) -> np.ndarray:
 
 
 def _design(kind: str, n: int, p: int, stream: RngStream) -> np.ndarray:
-    gen = stream.generator()
     if kind == "gauss":
-        return gen.standard_normal((n, p))
+        return gaussian_design(stream, n, p)
     if kind == "pm1":
-        return np.where(gen.random((n, p)) < 0.5, -1.0, 1.0)
+        return np.where(stream.generator().random((n, p)) < 0.5, -1.0, 1.0)
     if kind == "ortho":
         if p != n:
             raise ValueError("orthonormal design needs p == n")
@@ -294,16 +294,16 @@ def _model_size_ortho(base, reps, sigma):
 
 
 def experiment_model_size(reps: int = 1000, seed: int = 1,
-                          sigma: float = 1.0, threads: int = 1) -> dict:
+                          sigma: float = 1.0) -> dict:
     """Support-size variance against its bound over a configuration grid,
     plus the orthonormal-design case where the variance is exact.
 
-    One unit of up to ``threads`` workers is one configuration, with its
-    own streams, so the results do not depend on ``threads``.
+    One unit of :func:`core.replicate` is one configuration, with its own
+    streams, so the results do not depend on the worker count.
     """
     units = replicate(functools.partial(_model_size_unit, RngStream(seed),
                                         reps, sigma),
-                      len(MODEL_SIZE_GRID) + 1, threads)
+                      len(MODEL_SIZE_GRID) + 1)
     rows, ortho = units[:-1], units[-1]
     return {"grid": rows, "all_ok": all(r["ok"] for r in rows),
             "ortho": ortho, "reps": reps}
@@ -334,27 +334,27 @@ def _sparse_re_row(base, reps, sigma, n, p, s0_list, si):
 
 def experiment_sparse_re(reps: int = 400, seed: int = 1, sigma: float = 1.0,
                          n: int = 500, p: int = 500,
-                         s0_list=(1, 5, 10), threads: int = 1) -> dict:
+                         s0_list=(1, 5, 10)) -> dict:
     """Sparsity-plus-prediction bound at orthonormal design (RE = 1).
 
-    One unit of up to ``threads`` workers is one ``s0``, with its own
-    stream, so the results do not depend on ``threads``.
+    One unit of :func:`core.replicate` is one ``s0``, with its own stream,
+    so the results do not depend on the worker count.
     """
     rows = replicate(functools.partial(_sparse_re_row, RngStream(seed), reps,
                                        sigma, n, p, tuple(s0_list)),
-                     len(s0_list), threads)
+                     len(s0_list))
     return {"rows": rows, "all_ok": all(r["ok"] for r in rows),
             "reps": reps}
 
 
 def experiment_mc_divergence(kind: str, seed: int = 1, m_grid=None,
-                             n_real: int = 50, threads: int = 1) -> dict:
+                             n_real: int = 50) -> dict:
     """Probe-count table for the divergence estimator on a fixed dataset.
 
-    The table's realizations run on up to ``threads`` processes; the enet
+    The table's realizations are units of :func:`core.replicate`; the enet
     map starts each one from the base fit, so the results do not depend on
-    ``threads``.  ``unconverged`` counts the enet coordinate-descent fits,
-    the base fit and those inside the map, that missed the duality-gap
+    the worker count.  ``unconverged`` counts the enet coordinate-descent
+    fits, the base fit and those inside the map, that missed the duality-gap
     tolerance (0 for svt).
     """
     base = RngStream(seed)
@@ -386,7 +386,7 @@ def experiment_mc_divergence(kind: str, seed: int = 1, m_grid=None,
     else:
         raise ValueError("kind must be 'svt' or 'enet'")
     rows = divergence_mc.divergence_table(f, y, df_exact, m_grid, n_real,
-                                          base.child(1), a=a, threads=threads)
+                                          base.child(1), a=a)
     unconverged += getattr(f, "unconverged", 0)
     by_m = {r["m"]: r for r in rows}
     ratios = {}
@@ -399,8 +399,7 @@ def experiment_mc_divergence(kind: str, seed: int = 1, m_grid=None,
 
 
 def _debias_rep(seed, n, p, s0, lam, sigma, amplitude, rep):
-    base = RngStream(seed, 50000 + 3 * rep)
-    x = base.generator().standard_normal((n, p))
+    x = gaussian_design(RngStream(seed, 50000 + 3 * rep), n, p)
     beta = _sparse_beta(p, s0, amplitude)
     eps = sigma * RngStream(seed, 50001 + 3 * rep).generator().standard_normal(n)
     y = x @ beta + eps
@@ -412,7 +411,7 @@ def _debias_rep(seed, n, p, s0, lam, sigma, amplitude, rep):
 
 def experiment_debias(n: int = 200, p: int = 300, s0: int = 5,
                       reps: int = 2000, seed: int = 1, sigma: float = 1.0,
-                      lam: float | None = None, threads: int = 1) -> dict:
+                      lam: float | None = None) -> dict:
     """Pivot moments for the de-biased contrast in simulation mode.
 
     ``unconverged`` counts the replications whose base fit missed the
@@ -422,7 +421,7 @@ def experiment_debias(n: int = 200, p: int = 300, s0: int = 5,
         lam = default_lam(n, p, sigma, 1.0)
     results = replicate(functools.partial(_debias_rep, seed, n, p, s0, lam,
                                           sigma, 1.0),
-                        reps, threads, chunksize=32)
+                        reps, chunksize=32)
     pivots = np.array([r[0] for r in results])
     v_stars = np.array([r[1] for r in results])
     check = debias_mod.pivot_variance_check(pivots, v_stars)
@@ -466,13 +465,12 @@ def _cross_traces(x, masks, sizes, others, j0):
 
 def experiment_selection(n: int = 100, p: int = 150, s0: int = 5,
                          reps: int = 2000, seed: int = 1, sigma: float = 1.0,
-                         alpha: float = 0.1, n_cand: int = 8,
-                         threads: int = 1) -> dict:
+                         alpha: float = 0.1, n_cand: int = 8) -> dict:
     """Exceedance of the high-probability tuning bound on an l1 path.
 
-    The candidates' fits run one candidate a unit on up to ``threads``
-    workers; every unit shares one set of responses, so the results do not
-    depend on ``threads``.
+    The candidates' fits run one candidate a unit of :func:`core.replicate`;
+    every unit shares one set of responses, so the results do not depend on
+    the worker count.
     """
     base = RngStream(seed)
     x = _design("gauss", n, p, base.child(0))
@@ -483,7 +481,7 @@ def experiment_selection(n: int = 100, p: int = 150, s0: int = 5,
     ys = _responses(mu, sigma, reps, base.child(1))
 
     fits = replicate(functools.partial(_selection_fit, x, mu, sigma, ys, lams),
-                     n_cand, threads)
+                     n_cand)
     sures = np.column_stack([f[0] for f in fits])
     sizes = np.array([f[1] for f in fits])
     dists = np.column_stack([f[2] for f in fits])
@@ -543,12 +541,12 @@ EXPERIMENTS = {
 class ExperimentConfig:
     """A named experiment and its keyword parameters.
 
-    An unknown kind, a parameter the experiment does not take (``threads`` too:
-    the worker count is ``run_experiment``'s), fewer than two replications
-    (``reps``) or realizations (``n_real``), a size (``n``, ``p``, ``n_cand``)
-    or ``n_list`` entry that is not an integer of at least 1, a negative,
-    infinite or NaN ``lam``, a ``sigma`` that is not positive and finite and an
-    ``alpha`` outside (0, 1) raise ValueError here, before anything runs.
+    An unknown kind, a parameter the experiment does not take, fewer than two
+    replications (``reps``) or realizations (``n_real``), a size (``n``,
+    ``p``, ``n_cand``) or ``n_list`` entry that is not an integer of at least
+    1, a negative, infinite or NaN ``lam``, a ``sigma`` that is not positive
+    and finite and an ``alpha`` outside (0, 1) raise ValueError here, before
+    anything runs.
     """
     kind: str
     seed: int = 1
@@ -559,8 +557,7 @@ class ExperimentConfig:
             raise ValueError("unknown experiment %r (choose from %s)"
                              % (self.kind, ", ".join(sorted(EXPERIMENTS))))
         takes = inspect.signature(EXPERIMENTS[self.kind]).parameters
-        unknown = sorted(set(self.params)
-                         - (set(takes) - {"seed", "threads"}))
+        unknown = sorted(set(self.params) - (set(takes) - {"seed"}))
         if unknown:
             raise ValueError("experiment %r takes no parameter %s"
                              % (self.kind, ", ".join(map(repr, unknown))))
@@ -596,15 +593,9 @@ class ExperimentConfig:
 
 
 def run_experiment(config: ExperimentConfig, threads: int = 1) -> dict:
-    """The payload of ``config``'s experiment.
-
-    An experiment that takes ``threads`` runs on ``threads`` workers.  Its
-    results do not depend on the count, and the count is not written into
-    the payload, so the payload bytes do not depend on ``threads`` either.
-    """
-    fn = EXPERIMENTS[config.kind]
-    params = dict(config.params)
-    if "threads" in inspect.signature(fn).parameters:
-        params["threads"] = threads
-    results = fn(seed=config.seed, **params)
+    """The payload of ``config``'s experiment, run inside
+    ``core.workers(threads)``.  Neither its results nor its bytes depend on
+    ``threads``, which is not written into the payload."""
+    with workers(threads):
+        results = EXPERIMENTS[config.kind](seed=config.seed, **config.params)
     return results_payload(config.kind, config.seed, config.params, results)

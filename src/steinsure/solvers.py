@@ -32,6 +32,9 @@ SVT_GRAM_TOL = 1e-10
 # fixed-sign refit ends a fit soon after its support settles, and longer
 # rounds mostly polish settled supports
 ROUND_SWEEPS = 2
+# most sweeps a fit_lasso / fit_lasso_batch call makes before it gives up
+MAX_SWEEPS = 100000
+BATCH_MAX_SWEEPS = 2000
 # most float entries one block of the batch refit holds per array: a row
 # of support size k takes k^2 + n + p of them
 REFIT_BLOCK = 1 << 15
@@ -244,26 +247,24 @@ def certified_refit(x: np.ndarray, xs: np.ndarray, y: np.ndarray,
 
 
 def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
-              beta0: np.ndarray | None = None, max_iter: int = 100000,
-              tol: float | None = None) -> FitResult:
+              beta0: np.ndarray | None = None) -> FitResult:
     """Cyclic coordinate descent for the (optionally ridged) l1 objective.
 
     ``lam = 0`` with ``gamma = 0`` falls back to least squares; ``lam = 0``
     with ``gamma > 0`` is plain ridge.  The sweeps follow the round
-    schedule of :func:`_rounds`, and ``max_iter`` caps them.  A fit ends by
-    the finish rule of :func:`_rounds`, with ``tol`` (default
-    1e-10 * (1 + ||y||^2/n)) as the gap tolerance; a check whose signs
-    differ from the last refit's tries :func:`certified_refit` even when
-    its gap passes, and ``refit`` says that the fit ended on it.  One
-    :func:`_support_factor` per support tried gives the refit's Gram matrix,
-    kept as ``gram``, and the weights of df.  ``n_iter`` counts the sweeps
-    alone; ``gap`` is that of the returned beta.
+    schedule of :func:`_rounds`, and MAX_SWEEPS caps them.  A fit ends by
+    the finish rule of :func:`_rounds`, with :func:`default_tol` as the gap
+    tolerance; a check whose signs differ from the last refit's tries
+    :func:`certified_refit` even when its gap passes, and ``refit`` says
+    that the fit ended on it.  One :func:`_support_factor` per support tried
+    gives the refit's Gram matrix, kept as ``gram``, and the weights of df.
+    ``n_iter`` counts the sweeps alone; ``gap`` is that of the returned
+    beta.
     """
     x, y = problem.x, problem.y
     n, p = x.shape
     _check_penalty(lam, gamma)
-    if tol is None:
-        tol = default_tol(y)
+    tol = default_tol(y)
 
     if lam == 0.0:
         factor = (np.arange(p), *_support_factor(x, gamma))
@@ -323,13 +324,13 @@ def fit_lasso(problem: RegressionProblem, lam: float, *, gamma: float = 0.0,
                 refit = True
         return gap <= tol
 
-    it = _rounds(sweep, lambda: beta, certify, p, beta0 is None, max_iter)
+    it = _rounds(sweep, lambda: beta, certify, p, beta0 is None, MAX_SWEEPS)
     return _finish(x, beta, lam, gamma, gap, it, bool(gap <= tol), refit,
                    factor)
 
 
 class BatchUnconverged(RuntimeError):
-    """:func:`fit_lasso_batch` reached ``max_iter`` sweeps with rows whose
+    """:func:`fit_lasso_batch` reached BATCH_MAX_SWEEPS sweeps with rows whose
     duality gap is still above tolerance."""
 
     def __init__(self, unconverged: int, n_iter: int):
@@ -395,9 +396,7 @@ def _batch_refit(x, gram, ys, signs, rows, lam, gamma, tol, out):
 
 
 def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
-                    gamma: float = 0.0, max_iter: int = 2000,
-                    tol: float | None = None,
-                    betas0: np.ndarray | None = None) -> np.ndarray:
+                    gamma: float = 0.0) -> np.ndarray:
     """Solve many l1 problems sharing one design; returns the (R, p) betas.
 
     Same objective, gap tolerance, round schedule and finish rule
@@ -407,9 +406,9 @@ def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
     by their refit, solved for all failing rows at once
     (:func:`_batch_refit`); every other row continues coordinate descent.
     A column update is one BLAS rank-1 update of the live rows' residuals.
-    ``max_iter`` caps the sweeps; rows still above tolerance then raise
-    :class:`BatchUnconverged`.  Pure performance path for replication
-    studies.
+    Every row starts cold, and BATCH_MAX_SWEEPS caps the sweeps; rows still
+    above tolerance then raise :class:`BatchUnconverged`.  Pure performance
+    path for replication studies.
     """
     # scipy.linalg takes about 60 ms to import, which only this path needs
     from scipy.linalg.blas import dgemm
@@ -422,17 +421,12 @@ def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
     if lam == 0.0:
         raise ValueError("batch path requires lam > 0")
     xt = np.ascontiguousarray(x.T)
-    col_sq = np.einsum("ij,ij->j", x, x)
+    # no sweep visits a zero column, whose coefficient stays at its optimum 0
+    col_sq = np.einsum("ij,ij->j", x, x).tolist()
 
-    betas = np.zeros((nrep, p)) if betas0 is None else np.array(betas0, dtype=float)
-    # a zero column's coefficient is 0 at the optimum and no sweep visits it
-    betas[:, col_sq == 0.0] = 0.0
-    col_sq = col_sq.tolist()
+    betas = np.zeros((nrep, p))
     # live working copies are compacted as replications converge
-    bl = betas.copy()
-    rl = ys - bl @ x.T if betas0 is not None else ys.copy()
-    yl = ys
-    tl = default_tol(ys) if tol is None else np.full(nrep, tol)
+    bl, rl, yl, tl = betas.copy(), ys.copy(), ys, default_tol(ys)
     idx = np.arange(nrep)
     # the signs of each live row's last refit, which failed: a row is
     # refit again only once its support or signs have changed
@@ -489,7 +483,7 @@ def fit_lasso_batch(x: np.ndarray, ys: np.ndarray, lam: float, *,
                                           tl[keep], idx[keep], tried[keep])
         return not idx.size
 
-    it = _rounds(sweep, lambda: bl, certify, p, betas0 is None, max_iter)
+    it = _rounds(sweep, lambda: bl, certify, p, True, BATCH_MAX_SWEEPS)
     if idx.size:
         raise BatchUnconverged(idx.size, it)
     betas[np.abs(betas) <= HARD_ZERO] = 0.0

@@ -11,8 +11,8 @@ import time
 
 import numpy as np
 
-from steinsure import (RegressionProblem, RngStream, divergence_mc, harness,
-                       selection, solvers, stein)
+from steinsure import (RegressionProblem, RngStream, core, divergence_mc,
+                       harness, selection, solvers, stein)
 
 
 def _report(tag, ok, detail=""):
@@ -103,8 +103,8 @@ def test_acceptance_05_confidence_coverage():
 # 6 -------------------------------------------------------------------------
 
 def test_acceptance_06_model_size_variance():
-    res = harness.experiment_model_size(reps=1000, seed=41,
-                                       threads=os.cpu_count())
+    with core.workers(os.cpu_count()):
+        res = harness.experiment_model_size(reps=1000, seed=41)
     ok = res["all_ok"] and res["ortho"]["z"] <= 4.0
     _report("criterion-06 model-size-variance", ok,
             "grid_ok=%s ortho_z=%.2f" % (res["all_ok"], res["ortho"]["z"]))
@@ -113,8 +113,8 @@ def test_acceptance_06_model_size_variance():
 # 7 -------------------------------------------------------------------------
 
 def test_acceptance_07_sparsity_prediction_bound():
-    res = harness.experiment_sparse_re(reps=400, seed=51,
-                                       threads=os.cpu_count())
+    with core.workers(os.cpu_count()):
+        res = harness.experiment_sparse_re(reps=400, seed=51)
     detail = " ".join("s0=%d %.1f<=%.1f" % (r["s0"], r["mean_stat"], r["bound"])
                       for r in res["rows"])
     _report("criterion-07 sparsity-risk-bound", res["all_ok"], detail)
@@ -146,10 +146,9 @@ def test_acceptance_08_mc_divergence():
         exceed += (e.value - fit.df_hat) ** 2 > 10.0 * 4.0 * n / m
     lasso_ok = exceed <= 1
 
-    svt = harness.experiment_mc_divergence("svt", seed=64,
-                                           threads=os.cpu_count())
-    enet = harness.experiment_mc_divergence("enet", seed=65,
-                                            threads=os.cpu_count())
+    with core.workers(os.cpu_count()):
+        svt = harness.experiment_mc_divergence("svt", seed=64)
+        enet = harness.experiment_mc_divergence("enet", seed=65)
 
     def table_ok(res):
         last = res["rows"][-1]
@@ -167,8 +166,8 @@ def test_acceptance_08_mc_divergence():
 # 9 -------------------------------------------------------------------------
 
 def test_acceptance_09_debias_pivot():
-    res = harness.experiment_debias(n=200, p=300, s0=5, reps=2000, seed=71,
-                                    threads=4)
+    with core.workers(4):
+        res = harness.experiment_debias(n=200, p=300, s0=5, reps=2000, seed=71)
     # scalar least-squares case is exact
     gen = np.random.default_rng(72)
     from steinsure import debias as dm
@@ -189,8 +188,8 @@ def test_acceptance_09_debias_pivot():
 # 10 ------------------------------------------------------------------------
 
 def test_acceptance_10_selection():
-    res = harness.experiment_selection(reps=2000, seed=81,
-                                       threads=os.cpu_count())
+    with core.workers(os.cpu_count()):
+        res = harness.experiment_selection(reps=2000, seed=81)
     adv = harness.experiment_adversarial(n=4096, reps=2000, seed=82)
     ok = res["ok"] and adv["gap_frequency"] >= 0.05
     _report("criterion-10 selection", ok,
@@ -217,10 +216,10 @@ def test_acceptance_11_determinism_io(tmp_path):
     harness.save_matrix_csv(m, path)
     csv_ok = np.array_equal(harness.load_matrix_csv(path), m)
 
-    t1 = harness.experiment_debias(n=40, p=30, s0=2, reps=8, seed=93,
-                                   threads=1)
-    t2 = harness.experiment_debias(n=40, p=30, s0=2, reps=8, seed=93,
-                                   threads=2)
+    with core.workers(1):
+        t1 = harness.experiment_debias(n=40, p=30, s0=2, reps=8, seed=93)
+    with core.workers(2):
+        t2 = harness.experiment_debias(n=40, p=30, s0=2, reps=8, seed=93)
     thread_ok = all(t1[k] == t2[k] for k in ("pivot_var", "theta_hat_mean"))
 
     ok = json_ok and csv_ok and thread_ok

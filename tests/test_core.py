@@ -120,21 +120,43 @@ def test_replicate_asks_for_no_more_workers_than_cores(monkeypatch):
             raise RuntimeError("no pool in this test")
     monkeypatch.setattr(core.concurrent.futures, "ProcessPoolExecutor", Refuse)
     cores = len(os.sched_getaffinity(0))
-    if cores == 1:
-        assert replicate(abs, 4, 10**6) == [0, 1, 2, 3]   # in-process
-    else:
-        with pytest.raises(RuntimeError, match="no pool"):
-            replicate(abs, 10**6, 10**6)
-        assert asked == [cores]
+    with core.workers(10**6):
+        if cores == 1:
+            assert replicate(abs, 4) == [0, 1, 2, 3]   # in-process
+        else:
+            with pytest.raises(RuntimeError, match="no pool"):
+                replicate(abs, 10**6)
+            assert asked == [cores]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_replicate_returns_units_in_index_order(workers):
-    draws = replicate(lambda i: _draw(RngStream(5).child(i), 3), 7, workers,
-                      chunksize=3)
+    with core.workers(workers):
+        draws = replicate(lambda i: _draw(RngStream(5).child(i), 3), 7,
+                          chunksize=3)
     assert len(draws) == 7
     for i, draw in enumerate(draws):
         np.testing.assert_array_equal(draw, _draw(RngStream(5).child(i), 3))
+
+
+def _nested_unit(i):
+    # the inner units report the process they ran in
+    return os.getpid(), replicate(lambda j: (os.getpid(), 10 * i + j), 3)
+
+
+def test_replicate_inside_a_pool_worker_runs_its_units_in_process():
+    with core.workers(1):
+        serial = replicate(_nested_unit, 4)
+    with core.workers(2):
+        pooled = replicate(_nested_unit, 4)
+    assert core._WORKERS.get() == 1     # the count is given back
+    for pid, inner in pooled:
+        # with two usable cores the outer units ran in the pool
+        assert (pid != os.getpid()) == (worker_count(2, 4) == 2)
+        assert [unit_pid for unit_pid, _ in inner] == [pid] * 3
+    strip = [[value for _, value in inner] for _, inner in serial]
+    assert [[value for _, value in inner] for _, inner in pooled] == strip
+    assert strip == [[10 * i + j for j in range(3)] for i in range(4)]
 
 
 def _blas_counts():
@@ -153,12 +175,13 @@ def test_replicate_runs_units_at_one_blas_thread_and_restores_the_count(
         caller = _blas_counts()
         if max(caller) == 1:
             pytest.skip("BLAS runs one thread here")
-        assert replicate(lambda i: _blas_counts(), 3, workers) == [
-            [1] * len(caller)] * 3
+        with core.workers(workers):
+            assert replicate(lambda i: _blas_counts(), 3) == [
+                [1] * len(caller)] * 3
         assert _blas_counts() == caller
         # a unit that raises gives the count back too
         with pytest.raises(ZeroDivisionError):
-            replicate(lambda i: 1 / 0, 1, 1)
+            replicate(lambda i: 1 / 0, 1)
         assert _blas_counts() == caller
     finally:
         for (_, set_threads), count in zip(core._blas_thread_controls(),
@@ -171,9 +194,12 @@ def test_replicate_output_does_not_depend_on_the_blas_environment():
     # count; at one worker its units run in this process, at two in a pool
     code = ("import json\n"
             "from steinsure import harness\n"
-            "print(json.dumps([harness.payload_json("
-            "harness.experiment_mc_divergence('svt', seed=7, m_grid=(4, 16), "
-            "n_real=6, threads=threads)) for threads in (1, 2)]))")
+            "from steinsure.core import workers\n"
+            "def table(threads):\n"
+            "    with workers(threads):\n"
+            "        return harness.payload_json(harness.experiment_mc_divergence("
+            "'svt', seed=7, m_grid=(4, 16), n_real=6))\n"
+            "print(json.dumps([table(threads) for threads in (1, 2)]))")
     outs = []
     for pin in (None, "1"):
         env = {k: v for k, v in os.environ.items()

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from steinsure.core import RegressionProblem, RngStream
-from steinsure import divergence_mc, harness, solvers
+from steinsure import core, divergence_mc, harness, solvers
 from steinsure.divergence_mc import (default_step, divergence_table,
                                      lasso_fitted_map, mc_divergence, svt_map)
 
@@ -213,6 +213,16 @@ def test_step_below_the_resolution_of_y_is_an_error():
         assert est.value == pytest.approx(exact, rel=1e-5)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_non_finite_y_is_an_error(bad):
+    # named before the default step, which a non-finite y makes non-finite
+    calls = []
+    with pytest.raises(ValueError, match="^y must be finite$"):
+        mc_divergence(lambda v: calls.append(1) or v, np.array([bad, 1.0]), 5,
+                      RngStream(1))
+    assert not calls
+
+
 def test_divergence_table_deterministic():
     gen = np.random.default_rng(10)
     a = gen.standard_normal((8, 8)) / 3
@@ -243,8 +253,9 @@ def test_divergence_table_sums_the_units_counters(threads):
     a = gen.standard_normal((8, 8)) / 3
     f = _CountingMap(a)
     f.fallbacks = 5
-    table = divergence_table(f, np.zeros(8), np.trace(a), (5, 20), 6,
-                             RngStream(11), threads=threads)
+    with core.workers(threads):
+        table = divergence_table(f, np.zeros(8), np.trace(a), (5, 20), 6,
+                                 RngStream(11))
     assert table == divergence_table(lambda v: a @ v, np.zeros(8),
                                      np.trace(a), (5, 20), 6, RngStream(11))
     assert f.fallbacks == 5 + 6 * (6 + 21)

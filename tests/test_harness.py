@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from steinsure import cli, harness, solvers, stein
+from steinsure import cli, core, harness, solvers, stein
 from steinsure.harness import (ExperimentConfig, load_matrix_csv,
                                results_payload, run_experiment,
                                save_matrix_csv, save_results_json)
@@ -125,10 +125,9 @@ def test_sos_max_z_keeps_a_nan_z_score():
 
 
 def test_debias_threads_do_not_change_results():
-    r1 = harness.experiment_debias(n=40, p=30, s0=2, reps=12, seed=5,
-                                   threads=1)
-    r2 = harness.experiment_debias(n=40, p=30, s0=2, reps=12, seed=5,
-                                   threads=2)
+    r1 = harness.experiment_debias(n=40, p=30, s0=2, reps=12, seed=5)
+    with core.workers(2):
+        r2 = harness.experiment_debias(n=40, p=30, s0=2, reps=12, seed=5)
     for k in ("pivot_var", "v_star_mean", "theta_hat_mean"):
         assert r1[k] == r2[k]
 
@@ -279,7 +278,7 @@ def test_cli_svt_df_sigma_adds_sure_for_sure(tmp_path):
      "--lam must be nonnegative"),
     (["mc-div", "--map", "soft", "--y", "y", "--lam", "-1"],
      "--lam must be nonnegative"),
-    (["mc-div", "--map", "lasso", "--X", "X", "--y", "y", "--lam", "0.1",
+    (["mc-div", "--map", "enet", "--X", "X", "--y", "y", "--lam", "0.1",
       "--gamma", "-1"], "--gamma must be nonnegative"),
     (["mc-div", "--map", "svt", "--X", "X", "--lam", "1", "--m", "0"],
      "--m must be at least 1, not 0"),
@@ -305,7 +304,7 @@ def test_cli_svt_df_sigma_adds_sure_for_sure(tmp_path):
      "--lams must be nonnegative"),
     (["tune", "--X", "X", "--y", "y", "--lams", "nan,0.1"],
      "--lams must be nonnegative"),
-    (["mc-div", "--map", "lasso", "--X", "X", "--y", "y", "--lam", "inf"],
+    (["mc-div", "--map", "enet", "--X", "X", "--y", "y", "--lam", "inf"],
      "--lam must be nonnegative and finite"),
     (["--threads", "0", "model-size", "--observed", "1", "--p", "5"],
      "--threads must be at least 1, not 0"),
@@ -350,11 +349,11 @@ def test_cli_svt_df_sigma_adds_sure_for_sure(tmp_path):
       "1,0,0,0,0,0,0,0"], "--lam must be nonnegative and finite, not nan"),
     (["debias", "--X", "X", "--y", "y", "--lam", "-1", "--a0",
       "1,0,0,0,0,0,0,0"], "--lam must be nonnegative and finite, not -1.0"),
-    (["mc-div", "--map", "lasso", "--X", "X", "--y", "y", "--lam", "0.1",
+    (["mc-div", "--map", "enet", "--X", "X", "--y", "y", "--lam", "0.1",
       "--step", "inf"], "--step must be positive and finite, not inf"),
     (["mc-div", "--map", "soft", "--y", "y", "--lam", "1", "--step", "inf"],
      "--step must be positive and finite, not inf"),
-    (["mc-div", "--map", "lasso", "--X", "X", "--y", "y", "--lam", "0.1",
+    (["mc-div", "--map", "enet", "--X", "X", "--y", "y", "--lam", "0.1",
       "--step", "1e308"], "step a = 1e+308 overflows the probe response"),
     (["mc-div", "--map", "enet", "--X", "X", "--y", "y", "--lam", "0.1",
       "--gamma", "1", "--step", "1e308"],
@@ -376,12 +375,12 @@ def test_cli_svt_df_sigma_adds_sure_for_sure(tmp_path):
      "--gamma must be 0 for --map svt, not 1.0"),
     (["mc-div", "--map", "soft", "--y", "y", "--lam", "1", "--gamma", "1"],
      "--gamma must be 0 for --map soft, not 1.0"),
-    (["mc-div", "--map", "lasso", "--X", "X", "--y", "y", "--lam", "0.1",
-      "--gamma", "1"], "--gamma must be 0 for --map lasso, not 1.0"),
+    (["mc-div", "--map", "enet", "--X", "X", "--y", "y", "--lam", "0.1",
+      "--gamma", "inf"], "--gamma must be nonnegative and finite, not inf"),
     # a step below the resolution of y would print a wrong estimate
     (["mc-div", "--map", "soft", "--y", "y", "--lam", "0.5", "--step",
       "1e-17"], "step a = 1e-17 is not above the resolution of y"),
-    (["mc-div", "--map", "lasso", "--X", "X", "--y", "y", "--lam", "0.1",
+    (["mc-div", "--map", "enet", "--X", "X", "--y", "y", "--lam", "0.1",
       "--step", "1e-320"], "step a = 1e-320 is not above the resolution of y"),
 ])
 def test_cli_bad_option_values_are_one_line_usage_errors(tmp_path, args,
@@ -597,14 +596,23 @@ def test_cli_debias(tmp_path):
         "Error: No such option '--sigma'."]
 
 
-def test_cli_mc_div_lasso_runs_at_zero_gamma(tmp_path):
+def test_cli_mc_div_map_lasso_is_an_invalid_choice(tmp_path):
+    # the l1 map is --map enet at its default --gamma 0
     xp, yp = _write_problem(tmp_path)
-    args = ["mc-div", "--map", "lasso", "--X", xp, "--y", yp, "--lam", "0.3",
-            "--m", "5"]
+    args = ["--X", xp, "--y", yp, "--lam", "0.3", "--m", "5"]
     for extra in ([], ["--gamma", "0"]):
-        res = runner.invoke(cli.main, args + extra)
+        res = runner.invoke(cli.main, ["mc-div", "--map", "enet"] + args
+                            + extra)
         assert res.exit_code == 0, extra
         assert json.loads(res.stdout)["params"]["gamma"] == 0.0
+    res = runner.invoke(cli.main, ["mc-div", "--map", "lasso"] + args)
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)   # no traceback
+    assert res.stdout == ""
+    assert [line for line in res.stderr.splitlines()
+            if line.startswith("Error:")] == [
+        "Error: Invalid value for '--map': 'lasso' is not one of 'enet', "
+        "'svt', 'soft'."]
 
 
 def test_cli_non_finite_values_are_json_null(tmp_path):
@@ -643,9 +651,7 @@ def test_cli_csv_keeps_nested_fields(tmp_path):
 
 
 def test_cli_unconverged_fit_exits_2(tmp_path, monkeypatch):
-    fit_lasso = cli.solvers.fit_lasso
-    monkeypatch.setattr(cli.solvers, "fit_lasso",
-                        lambda *a, **k: fit_lasso(*a, **k, max_iter=1))
+    monkeypatch.setattr(cli.solvers, "MAX_SWEEPS", 1)
     xp, yp = _write_problem(tmp_path)
     data = ["--X", xp, "--y", yp]
     for args in (["lasso", "--lam", "0.05"], ["enet", "--lam", "0.05"],
@@ -677,12 +683,10 @@ def test_cli_run_unconverged_mc_divergence_exits_2(tmp_path, monkeypatch):
         res = runner.invoke(cli.main, ["run", "--config", str(cfgs[kind])])
         assert res.exit_code == 0 and res.stderr == "", kind
         assert json.loads(res.stdout)["results"]["unconverged"] == 0
-    fit_lasso = cli.solvers.fit_lasso
-    monkeypatch.setattr(cli.solvers, "fit_lasso",
-                        lambda *a, **k: fit_lasso(*a, **k, max_iter=1))
+    monkeypatch.setattr(cli.solvers, "MAX_SWEEPS", 1)
     counts = []
     for threads in ("1", "2"):
-        # forked workers inherit the patched solver; their counts come back
+        # forked workers inherit the patched sweep cap; their counts come back
         res = runner.invoke(cli.main, ["--threads", threads, "run",
                                        "--config", str(cfgs["enet"])])
         assert res.exit_code == 2, threads
@@ -710,9 +714,7 @@ def test_cli_capped_batch_fit_exits_2(tmp_path, monkeypatch):
             ["sos-verify", "--n", "10", "--reps", "20"])
     res = runner.invoke(cli.main, runs[0])
     assert res.exit_code == 0 and res.stderr == ""
-    fit_batch = cli.solvers.fit_lasso_batch
-    monkeypatch.setattr(cli.solvers, "fit_lasso_batch",
-                        lambda *a, **k: fit_batch(*a, **k, max_iter=1))
+    monkeypatch.setattr(cli.solvers, "BATCH_MAX_SWEEPS", 1)
     for args in runs:
         res = runner.invoke(cli.main, args)
         assert res.exit_code == 2, args
@@ -751,14 +753,11 @@ def test_cli_debias_collinear_selection_is_usage_error(tmp_path):
 def test_cli_mc_div_unconverged_map_exits_2(tmp_path, monkeypatch):
     xp, yp = _write_problem(tmp_path)
     runs = [["mc-div", "--X", xp, "--y", yp, "--lam", "0.05", "--m", "3",
-             "--map", kind, "--gamma", gamma]
-            for kind, gamma in (("lasso", "0"), ("enet", "1.0"))]
+             "--map", "enet", "--gamma", gamma] for gamma in ("0", "1.0")]
     for args in runs:
         res = runner.invoke(cli.main, args)
         assert res.exit_code == 0 and res.stderr == "", args
-    fit_lasso = cli.solvers.fit_lasso
-    monkeypatch.setattr(cli.solvers, "fit_lasso",
-                        lambda *a, **k: fit_lasso(*a, **k, max_iter=1))
+    monkeypatch.setattr(cli.solvers, "MAX_SWEEPS", 1)
     for args in runs:
         res = runner.invoke(cli.main, args)
         assert res.exit_code == 2, args

@@ -172,10 +172,8 @@ def test_batch_requires_positive_lam():
        p=st.integers(5, 80), gamma=st.sampled_from([0.0, 0.3]),
        near=st.lists(st.floats(0.85, 0.97) | st.floats(1.03, 1.15),
                      min_size=1, max_size=3),
-       dense=st.integers(1, 3),
-       warm=st.sampled_from(["cold", "converged", "perturbed"]))
-def test_batch_mixed_rows_equal_scalar_fits(seed, n, p, gamma, near, dense,
-                                            warm):
+       dense=st.integers(1, 3))
+def test_batch_mixed_rows_equal_scalar_fits(seed, n, p, gamma, near, dense):
     # rows that finish in different rounds share one call: an all-zero
     # response, rows whose lam_max sits near lam and dense rows at
     # lam = 0.1 lam_max, on a design with an all-zero column
@@ -189,12 +187,7 @@ def test_batch_mixed_rows_equal_scalar_fits(seed, n, p, gamma, near, dense,
     lam = 0.1 * float(lam_max[0])
     fracs = np.array(list(near) + [0.1] * dense)
     ys = np.vstack([np.zeros(n), base * (lam / (fracs * lam_max))[:, None]])
-    betas0 = None
-    if warm != "cold":
-        betas0 = fit_lasso_batch(x, ys, lam, gamma=gamma)
-        if warm == "perturbed":
-            betas0 = betas0 + 0.1 * gen.standard_normal(betas0.shape)
-    betas = fit_lasso_batch(x, ys, lam, gamma=gamma, betas0=betas0)
+    betas = fit_lasso_batch(x, ys, lam, gamma=gamma)
     assert np.all(betas[:, zero_col] == 0.0)
     assert np.all(betas[0] == 0.0)
     for y, beta in zip(ys, betas):
@@ -216,13 +209,14 @@ def _capped_problem():
     return x, ys, lam
 
 
-def test_fit_lasso_stops_at_max_iter():
+def test_fit_lasso_stops_at_max_iter(monkeypatch):
     x, ys, lam = _capped_problem()
     prob = RegressionProblem(x, ys[0])
     warm = fit_lasso(prob, 3.0 * lam).beta
     for beta0 in (None, warm):
         for max_iter in (1, 2, 3, 4, 5, 6):
-            fit = fit_lasso(prob, lam, beta0=beta0, max_iter=max_iter)
+            monkeypatch.setattr(solvers, "MAX_SWEEPS", max_iter)
+            fit = fit_lasso(prob, lam, beta0=beta0)
             # as in the batch kernel, a cold call here never stops a round
             # early, so it spends every sweep
             if beta0 is None:
@@ -272,32 +266,30 @@ def test_both_kernels_check_the_gap_every_round(monkeypatch):
     monkeypatch.setattr(solvers, "_certificate",
                         lambda *args: refits.append(1) or certificate(*args))
     max_iter = 1 + 2 * (solvers.ROUND_SWEEPS + 1)
-    fit = fit_lasso(RegressionProblem(x, ys[0]), lam, max_iter=max_iter)
+    monkeypatch.setattr(solvers, "MAX_SWEEPS", max_iter)
+    monkeypatch.setattr(solvers, "BATCH_MAX_SWEEPS", max_iter)
+    fit = fit_lasso(RegressionProblem(x, ys[0]), lam)
     assert (fit.n_iter, fit.converged) == (max_iter, False)
     assert len(calls) - len(refits) == 3
     calls.clear()
     refits.clear()
     with pytest.raises(solvers.BatchUnconverged):
-        fit_lasso_batch(x, ys, lam, max_iter=max_iter)
+        fit_lasso_batch(x, ys, lam)
     assert len(calls) - len(refits) == 3
 
 
-def test_batch_sweeps_stop_at_max_iter():
-    # max_iter counts sweeps, the regrowing full sweep included: a cold call
-    # makes sweep 1 full, 2-3 on the working set, 4 full again, and so on;
-    # both starts need over 40 sweeps here
+def test_batch_sweeps_stop_at_max_iter(monkeypatch):
+    # BATCH_MAX_SWEEPS counts sweeps, the regrowing full sweep included: a
+    # call makes sweep 1 full, 2-3 on the working set, 4 full again, and so
+    # on; it needs over 40 sweeps here
     x, ys, lam = _capped_problem()
-    ref = fit_lasso_batch(x, ys, lam)
-    gen = np.random.default_rng(12)
-    for betas0 in (None, ref + 0.1 * gen.standard_normal(ref.shape)):
-        for max_iter in (1, 2, 3, 11, 12, 13):
-            with pytest.raises(solvers.BatchUnconverged) as info:
-                fit_lasso_batch(x, ys, lam, max_iter=max_iter, betas0=betas0)
-            assert isinstance(info.value, RuntimeError)
-            assert info.value.n_iter == max_iter
-            assert 1 <= info.value.unconverged <= ys.shape[0]
-        np.testing.assert_allclose(fit_lasso_batch(x, ys, lam, betas0=betas0),
-                                   ref, rtol=0, atol=1e-6)
+    for max_iter in (1, 2, 3, 11, 12, 13):
+        monkeypatch.setattr(solvers, "BATCH_MAX_SWEEPS", max_iter)
+        with pytest.raises(solvers.BatchUnconverged) as info:
+            fit_lasso_batch(x, ys, lam)
+        assert isinstance(info.value, RuntimeError)
+        assert info.value.n_iter == max_iter
+        assert 1 <= info.value.unconverged <= ys.shape[0]
 
 
 def test_batch_unconverged_pickles():
@@ -310,8 +302,8 @@ def test_batch_unconverged_pickles():
 
 def test_batch_single_rows_and_optimal_warm_rows_equal_scalar_fits():
     # rows 0 and 1 start at their optimum, beta = 0, so no sweep moves them
-    # and the rank-1 update must leave their residuals as they are; rows 2
-    # and 3 start from perturbed solutions.  Each row alone (R = 1) too
+    # and the rank-1 update must leave their residuals as they are, while
+    # it moves rows 2 and 3.  Each row alone (R = 1) too
     gen = np.random.default_rng(0)
     n, p, lam = 40, 60, 0.2
     x = gen.standard_normal((n, p))
@@ -319,12 +311,11 @@ def test_batch_single_rows_and_optimal_warm_rows_equal_scalar_fits():
     ys = np.vstack([np.zeros(n), 0.01 * gen.standard_normal(n),
                     signal + gen.standard_normal((2, n))])
     refs = [fit_lasso(RegressionProblem(x, y), lam) for y in ys]
-    betas0 = np.array([ref.beta for ref in refs])
-    assert not betas0[:2].any() and betas0[2:].any()
-    betas0[2:] += 0.05 * gen.standard_normal((2, p))
-    warm = fit_lasso_batch(x, ys, lam, betas0=betas0)
+    assert not any(ref.beta.any() for ref in refs[:2])
+    assert all(ref.beta.any() for ref in refs[2:])
+    stacked = fit_lasso_batch(x, ys, lam)
     single = np.vstack([fit_lasso_batch(x, y[None, :], lam) for y in ys])
-    for betas in (warm, single):
+    for betas in (stacked, single):
         assert not betas[:2].any()
         for y, beta, ref in zip(ys, betas, refs):
             np.testing.assert_allclose(beta, ref.beta, rtol=0, atol=1e-9)
@@ -402,8 +393,8 @@ def test_batch_refit_keeps_only_certified_rows(gamma):
 
 def test_batch_refit_skips_a_collinear_support(monkeypatch):
     # columns 2 and 5 coincide and the warm start splits the weight over
-    # both, so at gamma = 0 that row's support is rank deficient: its refit
-    # is never solved, and descent alone finishes it as the scalar fit does.
+    # both, so at gamma = 0 that support is rank deficient: the batch refit
+    # never solves it, and descent alone finishes the scalar fit.
     # The cold fit, whose support is not collinear, may end on a refit, so
     # it comes before the spy
     prob = _duplicated_column_problem()
@@ -423,11 +414,9 @@ def test_batch_refit_skips_a_collinear_support(monkeypatch):
                                 solvers.default_tol(ys), out)
     assert not rows.size and not out.any() and not solved
     warm = fit_lasso(prob, 0.1, beta0=beta0)
-    batch = fit_lasso_batch(prob.x, ys, 0.1, betas0=beta0[None, :])[0]
-    assert warm.converged and {2, 5} <= set(np.flatnonzero(batch).tolist())
+    assert warm.converged and {2, 5} <= set(warm.support.tolist())
     assert not solved
-    np.testing.assert_allclose(batch, warm.beta, rtol=0, atol=1e-9)
-    assert check_kkt(prob, 0.1, batch).strict
+    assert check_kkt(prob, 0.1, warm.beta).strict
 
 
 @settings(max_examples=40, deadline=None)
