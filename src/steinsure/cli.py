@@ -199,9 +199,8 @@ def _fit_summary(problem, fits):
 
 
 def _sure_summary(problem, fits):
-    fit = fits[0]
-    value = stein.sure(problem.y, fit.mu_hat, fit.df_hat, problem.sigma)
-    return {"sure": value, "sure_plus": max(value, 0.0), "df_hat": fit.df_hat}
+    rep = stein.sure_from_fit(fits[0], problem.y, problem.sigma)
+    return {"sure": rep.sure, "sure_plus": rep.sure_plus, "df_hat": rep.df_hat}
 
 
 def _sure4sure_summary(problem, fits):

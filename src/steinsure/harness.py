@@ -513,11 +513,9 @@ def experiment_selection(n: int = 100, p: int = 150, s0: int = 5,
 def experiment_adversarial(n: int = 4096, reps: int = 2000, seed: int = 1,
                            sigma: float = 1.0, c: float = 0.9,
                            period_exponent: int = -8) -> dict:
-    out = selection.adversarial_gap_experiment(
+    return selection.adversarial_gap_experiment(
         n, sigma, reps, RngStream(seed), c=c,
         period_exponent=period_exponent)
-    out["threshold"] = c * sigma * n ** 0.25
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +539,13 @@ EXPERIMENTS = {
 class ExperimentConfig:
     """A named experiment and its keyword parameters.
 
-    An unknown kind, a parameter the experiment does not take, fewer than two
-    replications (``reps``) or realizations (``n_real``), a size (``n``,
-    ``p``, ``n_cand``) or ``n_list`` entry that is not an integer of at least
-    1, a negative, infinite or NaN ``lam``, a ``sigma`` that is not positive
-    and finite and an ``alpha`` outside (0, 1) raise ValueError here, before
-    anything runs.
+    An unknown kind, a parameter the experiment does not take, a seed that
+    is not an integer, fewer than two replications (``reps``) or
+    realizations (``n_real``), a size (``n``, ``p``, ``n_cand``) or
+    ``n_list`` entry that is not an integer of at least 1, a negative,
+    infinite or NaN ``lam``, a ``sigma`` that is not positive and finite and
+    an ``alpha`` outside (0, 1) raise ValueError here, before anything
+    runs.
     """
     kind: str
     seed: int = 1
@@ -561,6 +560,8 @@ class ExperimentConfig:
         if unknown:
             raise ValueError("experiment %r takes no parameter %s"
                              % (self.kind, ", ".join(map(repr, unknown))))
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError("seed must be an integer, not %r" % (self.seed,))
         # a spread needs two replications, or two realizations per table
         # row, and a design at least one row, column and candidate
         counts = [(name, self.params.get(name, least), least)
@@ -588,7 +589,7 @@ class ExperimentConfig:
             raw = json.load(handle)
         if "kind" not in raw:
             raise ValueError("config must name an experiment 'kind'")
-        return cls(kind=raw["kind"], seed=int(raw.get("seed", 1)),
+        return cls(kind=raw["kind"], seed=raw.get("seed", 1),
                    params=dict(raw.get("params", {})))
 
 

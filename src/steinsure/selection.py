@@ -129,7 +129,8 @@ def adversarial_gap_experiment(n: int, sigma: float, reps: int,
     Under mu = 0 the zero estimator has loss 0, yet with constant
     probability the risk estimate prefers the wave estimator, whose distance
     to the mean is about sigma * n^{1/4}.  Returns the frequency of
-    {tuning picks the wave, gap >= c sigma n^{1/4}} over the replications.
+    {tuning picks the wave, gap >= c sigma n^{1/4}} over the replications,
+    with that ``threshold`` c sigma n^{1/4}.
     """
     zero, wave = adversarial_pair(n, sigma, period_exponent)
     gen = stream.generator()
@@ -147,4 +148,5 @@ def adversarial_gap_experiment(n: int, sigma: float, reps: int,
             if math.sqrt(float(mu2 @ mu2)) >= threshold:
                 hits += 1
     return {"n": n, "reps": reps, "c": c, "period_exponent": period_exponent,
-            "pick_frequency": picked / reps, "gap_frequency": hits / reps}
+            "pick_frequency": picked / reps, "gap_frequency": hits / reps,
+            "threshold": threshold}

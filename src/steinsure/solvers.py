@@ -66,10 +66,6 @@ class FitResult:
     gram: np.ndarray | None   # see _support_factor, on the columns of df
     refit: bool               # beta minimizes F in closed form, not by descent
 
-    @property
-    def size(self) -> int:
-        return int(self.support.size)
-
 
 class KktReport(NamedTuple):
     max_inactive: float       # largest |x_j'(y - X b) - gamma b_j| / (n lam), j inactive

@@ -152,9 +152,11 @@ def projection_cross_traces(x: np.ndarray, supports_a, supports_b) -> np.ndarray
 class VectorField:
     """A vector field f with enough Jacobian structure for the identity check.
 
-    Subclasses override ``value`` and, with the analytic divergence and
-    squared-Jacobian trace, ``batch_stats``; the base ``batch_stats`` uses
-    the finite-difference ``jacobian`` and serves as the reference for them.
+    ``batch_stats(zs)`` returns (f, div f, tr(J^2)) over the rows of zs: f
+    holds one row per draw and each trace one entry per draw.  Subclasses
+    override ``value`` and, with the analytic traces, ``batch_stats``; the
+    base ``batch_stats`` uses the finite-difference ``jacobian`` and serves
+    as the reference for them.
     """
 
     def value(self, z: np.ndarray) -> np.ndarray:
@@ -172,13 +174,13 @@ class VectorField:
         return jac
 
     def batch_stats(self, zs: np.ndarray):
-        """Per-draw (z'f, ||f||^2, div f, tr(J^2)) over the rows of zs."""
-        out = np.empty((zs.shape[0], 4))
+        f = np.empty(zs.shape)
+        traces = np.empty((zs.shape[0], 2))
         for i, z in enumerate(zs):
-            f = self.value(z)
+            f[i] = self.value(z)
             jac = self.jacobian(z)
-            out[i] = (z @ f, f @ f, np.trace(jac), np.sum(jac * jac.T))
-        return out[:, 0], out[:, 1], out[:, 2], out[:, 3]
+            traces[i] = (np.trace(jac), np.sum(jac * jac.T))
+        return f, traces[:, 0], traces[:, 1]
 
 
 class IdentityField(VectorField):
@@ -186,9 +188,8 @@ class IdentityField(VectorField):
         return z
 
     def batch_stats(self, zs):
-        sq = np.einsum("ij,ij->i", zs, zs)
-        n = float(zs.shape[1])
-        return sq, sq, np.full(zs.shape[0], n), np.full(zs.shape[0], n)
+        n = np.full(zs.shape[0], float(zs.shape[1]))
+        return zs, n, n
 
 
 class ConstantField(VectorField):
@@ -199,9 +200,8 @@ class ConstantField(VectorField):
         return self.c
 
     def batch_stats(self, zs):
-        r = zs.shape[0]
-        return (zs @ self.c, np.full(r, float(self.c @ self.c)),
-                np.zeros(r), np.zeros(r))
+        zero = np.zeros(zs.shape[0])
+        return np.broadcast_to(self.c, zs.shape), zero, zero
 
 
 class LinearField(VectorField):
@@ -214,9 +214,8 @@ class LinearField(VectorField):
         return self.a @ z
 
     def batch_stats(self, zs):
-        f = zs @ self.a.T
-        return (np.einsum("ij,ij->i", zs, f), np.einsum("ij,ij->i", f, f),
-                np.full(zs.shape[0], self._div), np.full(zs.shape[0], self._tr2))
+        r = zs.shape[0]
+        return zs @ self.a.T, np.full(r, self._div), np.full(r, self._tr2)
 
 
 class SoftThresholdField(VectorField):
@@ -227,9 +226,8 @@ class SoftThresholdField(VectorField):
         return solvers.soft_threshold(z, self.t)
 
     def batch_stats(self, zs):
-        f = solvers.soft_threshold(zs, self.t)
         k = np.sum(np.abs(zs) > self.t, axis=1).astype(float)
-        return np.einsum("ij,ij->i", zs, f), np.einsum("ij,ij->i", f, f), k, k
+        return solvers.soft_threshold(zs, self.t), k, k
 
 
 class ElasticNetResidualField(VectorField):
@@ -239,13 +237,6 @@ class ElasticNetResidualField(VectorField):
         self.x = np.asarray(x, dtype=float)
         self.lam = float(lam)
         self.gamma = float(gamma)
-        self._cache: dict[tuple, tuple] = {}
-
-    def _df_pair(self, support):
-        key = tuple(support)
-        if key not in self._cache:
-            self._cache[key] = solvers._df_pair(self.x, np.asarray(support), self.gamma)
-        return self._cache[key]
 
     def value(self, z):
         from .core import RegressionProblem
@@ -254,18 +245,18 @@ class ElasticNetResidualField(VectorField):
         return z - fit.mu_hat
 
     def batch_stats(self, zs):
+        """Each distinct support of the batch fits is factored once."""
         betas = solvers.fit_lasso_batch(self.x, zs, self.lam, gamma=self.gamma)
-        f = zs - betas @ self.x.T
+        # one byte-string key per row's support, which np.unique sorts fast
+        bits = np.packbits(betas != 0.0, axis=1)
+        keys = bits.view(np.dtype((np.void, bits.shape[1]))).ravel()
+        _, first, rows = np.unique(keys, return_index=True, return_inverse=True)
+        pairs = np.array([solvers._df_pair(self.x, np.flatnonzero(betas[i]),
+                                           self.gamma) for i in first])
+        df, t2 = pairs[rows].T
         n = zs.shape[1]
-        div = np.empty(zs.shape[0])
-        tr2 = np.empty(zs.shape[0])
-        for i, b in enumerate(betas):
-            df, t2 = self._df_pair(np.flatnonzero(b))
-            # Jacobian of the residual map is I - M
-            div[i] = n - df
-            tr2[i] = n - 2.0 * df + t2
-        return (np.einsum("ij,ij->i", zs, f), np.einsum("ij,ij->i", f, f),
-                div, tr2)
+        # Jacobian of the residual map is I - M
+        return zs - betas @ self.x.T, n - df, n - 2.0 * df + t2
 
 
 @dataclass
@@ -277,9 +268,6 @@ class IdentityReport:
     reps: int
     mode: str
 
-    def passed(self, z_max: float = 4.0) -> bool:
-        return self.z_score <= z_max
-
 
 def verify_sos_identity(field: VectorField, n: int, sigma: float, reps: int,
                         stream: RngStream, scalar_fn=None) -> IdentityReport:
@@ -290,9 +278,12 @@ def verify_sos_identity(field: VectorField, n: int, sigma: float, reps: int,
         E[(eps' f(eps) - sigma^2 div f(eps))^2]
             = E[sigma^2 ||f(eps)||^2 + sigma^4 tr((Df(eps))^2)].
 
-    If ``scalar_fn`` is given (an object with ``value(eps) -> float`` and
-    ``grad(eps) -> vector``), the generalized variance form is checked
-    instead:
+    All ``reps`` draws form one (reps, n) stack: ``field.batch_stats``
+    returns f, div f and tr((Df)^2) over it, and every term of the identity
+    is formed here from those.  If ``scalar_fn`` is given (an object whose
+    ``value(eps)`` and ``grad(eps)`` take the stack and return g, shape
+    (reps,), and Dg, shape (reps, n)), the generalized variance form is
+    checked instead:
 
         Var[eps' f - sigma^2 div f - g]
             = E[sigma^2 ||f - Dg||^2 + sigma^4 tr((Df)^2)]
@@ -302,22 +293,22 @@ def verify_sos_identity(field: VectorField, n: int, sigma: float, reps: int,
     a correct implementation lands within a few standard errors.
     """
     eps = sigma * stream.generator().standard_normal((reps, n))
-    zf, fsq, div, tr2 = field.batch_stats(eps)
+    f, div, tr2 = field.batch_stats(eps)
+    zf = np.einsum("ij,ij->i", eps, f)
     s2, s4 = sigma**2, sigma**4
     if scalar_fn is None:
         lhs = (zf - s2 * div) ** 2
-        rhs = s2 * fsq + s4 * tr2
+        rhs = s2 * np.einsum("ij,ij->i", f, f) + s4 * tr2
         kind = "second_order"
     else:
-        g = np.array([scalar_fn.value(e) for e in eps])
-        grads = np.array([scalar_fn.grad(e) for e in eps])
+        g = scalar_fn.value(eps)
+        grads = scalar_fn.grad(eps)
         w = zf - s2 * div - g
-        # ||f - Dg||^2 per draw needs f itself; recompute cheaply via field.value
-        fmg = np.array([float(np.sum((field.value(e) - gr) ** 2))
-                        for e, gr in zip(eps, grads)])
-        gradsq = np.einsum("ij,ij->i", grads, grads)
+        fmg = f - grads
         lhs = (w - np.mean(w)) ** 2
-        rhs = s2 * fmg + s4 * tr2 - s2 * gradsq + (g - np.mean(g)) ** 2
+        rhs = (s2 * np.einsum("ij,ij->i", fmg, fmg) + s4 * tr2
+               - s2 * np.einsum("ij,ij->i", grads, grads)
+               + (g - np.mean(g)) ** 2)
         kind = "general_variance"
     diff = lhs - rhs
     se = float(np.std(diff, ddof=1)) / math.sqrt(reps)

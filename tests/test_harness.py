@@ -84,6 +84,8 @@ def test_experiment_config_from_json(tmp_path):
     path.write_text('{"kind": "sos", "seed": 9, "params": {"reps": 100}}')
     cfg = ExperimentConfig.from_json(str(path))
     assert cfg.kind == "sos" and cfg.seed == 9 and cfg.params == {"reps": 100}
+    path.write_text('{"kind": "sos", "seed": -3}')
+    assert ExperimentConfig.from_json(str(path)).seed == -3
     path.write_text('{"seed": 9}')
     with pytest.raises(ValueError):
         ExperimentConfig.from_json(str(path))
@@ -532,6 +534,19 @@ def test_cli_run_bad_config_is_one_line_usage_error(tmp_path, config,
     lines = res.stderr.strip().splitlines()
     assert len(lines) == 1 and lines[0].startswith("Error: bad config: ")
     assert message in lines[0]
+
+
+@pytest.mark.parametrize("seed, shown", [(1.5, "1.5"), (True, "True"),
+                                         ("7", "'7'"), (None, "None")])
+def test_cli_run_config_seed_must_be_an_integer(tmp_path, seed, shown):
+    # a bool, float or string seed is not coerced into some other run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "adversarial", "seed": seed,
+                               "params": {"n": 64, "reps": 4}}))
+    res = runner.invoke(cli.main, ["run", "--config", str(cfg)])
+    assert res.exit_code == 1 and res.stdout == ""
+    assert res.stderr.strip() == (
+        "Error: bad config: seed must be an integer, not %s" % shown)
 
 
 def test_cli_run_output_is_byte_identical(tmp_path):

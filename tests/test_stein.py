@@ -210,8 +210,8 @@ def test_soft_threshold_field_batch_vs_finite_difference():
     zs = np.random.default_rng(7).standard_normal((20, 6))
     batch = fld.batch_stats(zs)
     loop = stein.VectorField.batch_stats(fld, zs)
+    np.testing.assert_allclose(batch[1], loop[1], atol=1e-3)
     np.testing.assert_allclose(batch[2], loop[2], atol=1e-3)
-    np.testing.assert_allclose(batch[3], loop[3], atol=1e-3)
 
 
 def test_general_variance_mode_linear_g():
@@ -222,14 +222,44 @@ def test_general_variance_mode_linear_g():
             self.c = c
 
         def value(self, eps):
-            return float(self.c @ eps)
+            return eps @ self.c
 
         def grad(self, eps):
-            return self.c
+            return np.broadcast_to(self.c, eps.shape)
 
     c = np.array([0.5, -0.25, 0.1, 0.7])
     rep = verify_sos_identity(SoftThresholdField(0.5), 4, 1.0, 4000,
                               RngStream(8), scalar_fn=LinearG(c))
+    assert rep.mode == "general_variance"
+    assert rep.z_score <= 4.0
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.6])
+def test_residual_field_scores_each_row_by_its_support(gamma):
+    gen = np.random.default_rng(12)
+    x = gen.standard_normal((8, 5))
+    fld = stein.ElasticNetResidualField(x, 0.3, gamma)
+    zs = gen.standard_normal((60, 8))
+    zs[30:] = zs[:30]           # every support recurs at least twice
+    f, div, tr2 = fld.batch_stats(zs)
+    betas = solvers.fit_lasso_batch(x, zs, 0.3, gamma=gamma)
+    assert 1 < len(np.unique(betas != 0.0, axis=0)) < 30
+    # bitwise equal to a per-row factorization, so rows that share a
+    # support share their values bit for bit
+    for i, b in enumerate(betas):
+        df, t2 = solvers._df_pair(x, np.flatnonzero(b), gamma)
+        assert div[i] == 8 - df and tr2[i] == 8 - 2.0 * df + t2
+    np.testing.assert_array_equal(f, zs - betas @ x.T)
+
+
+def test_general_variance_mode_residual_field_stacked_g():
+    gen = np.random.default_rng(13)
+    x = gen.standard_normal((6, 3))
+    c = gen.standard_normal(6)
+    g = types.SimpleNamespace(value=lambda eps: eps @ c,
+                              grad=lambda eps: np.broadcast_to(c, eps.shape))
+    rep = verify_sos_identity(stein.ElasticNetResidualField(x, 0.2, 0.0), 6,
+                              1.0, 2000, RngStream(14), scalar_fn=g)
     assert rep.mode == "general_variance"
     assert rep.z_score <= 4.0
 
